@@ -22,29 +22,28 @@ use ccdb_btree::IndexEntry;
 use ccdb_common::{Error, PageNo, RelId, Result, Timestamp};
 use ccdb_storage::{Page, PageType, TupleVersion, WriteTime, PAGE_SIZE};
 
-/// Which engine of a deployment Mala attacks. Multi-engine deployments
-/// (tenant namespaces, shards) keep each engine under a well-known
-/// deployment-relative prefix; Mala, being root on the platform, can reach
-/// any of them with the same file editor.
+/// Which engine of a deployment Mala attacks: shard `shard` of tenant
+/// `tenant`, whose files live under `<dir>/tenants/<tenant>/shards/<shard>/`.
+/// Mala, being root on the platform, can reach any of them with the same
+/// file editor.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MalaTarget {
-    /// A single-engine deployment: `<dir>/engine/`.
-    Root,
-    /// A tenant's engine: `<dir>/tenants/<name>/engine/`.
-    Tenant(String),
-    /// A shard's engine: `<dir>/shards/<i>/engine/`.
-    Shard(u32),
+pub struct MalaTarget {
+    /// The tenant's name.
+    pub tenant: String,
+    /// The shard index within the tenant.
+    pub shard: u32,
 }
 
 impl MalaTarget {
-    /// The deployment-relative directory prefix the target's engine lives
-    /// under (empty for [`MalaTarget::Root`]).
+    /// The deployment-relative directory the target's engine lives under.
     pub fn prefix(&self) -> PathBuf {
-        match self {
-            MalaTarget::Root => PathBuf::new(),
-            MalaTarget::Tenant(name) => Path::new("tenants").join(name),
-            MalaTarget::Shard(i) => Path::new("shards").join(i.to_string()),
-        }
+        Path::new("tenants").join(&self.tenant).join("shards").join(self.shard.to_string())
+    }
+}
+
+impl std::fmt::Display for MalaTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.prefix().display())
     }
 }
 
@@ -91,9 +90,7 @@ impl Mala {
         Mala { db_path, wal_path }
     }
 
-    /// Targets one engine of a (possibly multi-engine) deployment rooted at
-    /// `root`: the root engine itself, a tenant under `tenants/<name>`, or a
-    /// shard under `shards/<i>`.
+    /// Targets one engine of a deployment rooted at `root`.
     pub fn for_deployment(root: impl AsRef<Path>, target: &MalaTarget) -> Mala {
         let engine_dir = root.as_ref().join(target.prefix()).join("engine");
         Mala { db_path: engine_dir.join("db.pages"), wal_path: engine_dir.join("wal.log") }
@@ -488,15 +485,11 @@ mod tests {
     #[test]
     fn deployment_targets_resolve_engine_paths() {
         let root = Path::new("/srv/ccdb");
-        let m = Mala::for_deployment(root, &MalaTarget::Root);
-        assert_eq!(m.db_path(), root.join("engine/db.pages"));
-        assert_eq!(m.wal_path(), root.join("engine/wal.log"));
-        let m = Mala::for_deployment(root, &MalaTarget::Tenant("acme".into()));
-        assert_eq!(m.db_path(), root.join("tenants/acme/engine/db.pages"));
-        assert_eq!(m.wal_path(), root.join("tenants/acme/engine/wal.log"));
-        let m = Mala::for_deployment(root, &MalaTarget::Shard(2));
-        assert_eq!(m.db_path(), root.join("shards/2/engine/db.pages"));
-        assert_eq!(m.wal_path(), root.join("shards/2/engine/wal.log"));
+        let target = MalaTarget { tenant: "acme".into(), shard: 2 };
+        assert_eq!(target.to_string(), "tenants/acme/shards/2");
+        let m = Mala::for_deployment(root, &target);
+        assert_eq!(m.db_path(), root.join("tenants/acme/shards/2/engine/db.pages"));
+        assert_eq!(m.wal_path(), root.join("tenants/acme/shards/2/engine/wal.log"));
         // `new` derives the WAL sibling the same way.
         let m = Mala::new(root.join("shards/0/engine/db.pages"));
         assert_eq!(m.wal_path(), root.join("shards/0/engine/wal.log"));

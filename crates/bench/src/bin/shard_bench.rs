@@ -129,10 +129,8 @@ fn run_cell(shards: u32, cross_pct: u32, clients: u32, txns: u32) -> RunOutcome 
 
     // A cross-shard commit lands on every written shard's engine, so the
     // per-shard sum exceeds the acked count exactly when 2PC ran.
-    let shard_local_commits: u64 = match server.sharded() {
-        Some(db) => db.shards().iter().map(|s| s.engine().stats().commits).sum(),
-        None => server.tenants().tenant("bench").map(|db| db.engine().stats().commits).unwrap_or(0),
-    };
+    let db = server.tenants().get("bench").expect("tenant opened by the first session");
+    let shard_local_commits: u64 = db.shards().iter().map(|s| s.engine().stats().commits).sum();
 
     // Every cell ends audit-clean under both strategies — for sharded
     // deployments the parallel arm is the full cross-shard decision join.

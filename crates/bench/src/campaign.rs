@@ -3,20 +3,22 @@
 //! paper's own invariant that every campaign ends **detected or harmless**.
 //!
 //! One campaign ([`run_campaign_schedule`]) is a pure function of its `u64`
-//! seed. The seed draws a deployment shape (a single [`CompliantDb`], two
-//! tenants over one shared WORM volume, or a 2–3-shard [`ShardedDb`]), then
-//! interleaves:
+//! seed. The seed draws a deployment shape — tenants × shards in one
+//! [`TenantRegistry`] over a shared WORM volume: 1 × 1 (a single engine),
+//! 2 × 1, 1 × 2–3, or 2 × 2 — then interleaves:
 //!
-//! * **workload** — commits, aborts, and deletes across two relations: a
+//! * **workload** — commits, aborts, and deletes across two relations (each
+//!   transaction through its tenant's [`ShardedDb`] coordinator): a
 //!   `ledger` (no retention, the tamper target) and an `events` relation
 //!   (time-split policy, seeded retention period — the lifecycle target);
 //! * **virtual time** — clock advances from minutes to *years*, so
 //!   retention expiry, holds, and shredding overlap realistically;
 //! * **lifecycle** — litigation `Hold`s placed and released, auditable
 //!   `Vacuum`/shred cycles (with WORM re-migration of expired pages),
-//!   time-split migration to WORM, sealing audits, crash+recovery;
+//!   time-split migration to WORM, sealing audits, crash+recovery (every
+//!   tenant at once, or one shard of one tenant);
 //! * **tampering** — a final phase drawing 0–3 actions from the full
-//!   [`Mala`] catalogue (namespace/shard-aware via [`MalaTarget`]); ~⅓ of
+//!   [`Mala`] catalogue against one (tenant, shard) [`MalaTarget`]; ~⅓ of
 //!   seeds draw zero tampers and double as false-alert controls.
 //!
 //! The verdict then runs **all three auditors** over the same state — the
@@ -24,8 +26,8 @@
 //! harness enforces:
 //!
 //! 1. **Verdict identity.** The three auditors agree on cleanliness,
-//!    violations, forensics, and the completeness hash, per engine (and on
-//!    the cross-shard join for sharded deployments).
+//!    violations, forensics, and the completeness hash, per engine, and the
+//!    two batch auditors agree on each tenant's cross-shard join.
 //! 2. **Detected or harmless.** A tampering campaign whose verdict is
 //!    *clean* must be observably harmless: every ledger key's full version
 //!    history and every events key's latest value still match the honest
@@ -62,7 +64,8 @@ pub const CAMPAIGN_BASE_SEED: u64 = 0xCA3B_1600_0000_0000;
 pub struct CampaignOutcome {
     /// The campaign's seed (sufficient to replay it exactly).
     pub seed: u64,
-    /// Deployment shape: `"single"`, `"tenants"`, or `"sharded"`.
+    /// Deployment shape: `"single"` (1 tenant × 1 shard), `"tenants"`
+    /// (2 × 1), `"sharded"` (1 × 2–3), or `"tenants-x-shards"` (2 × 2).
     pub deployment: &'static str,
     /// Compliance mode the campaign ran under.
     pub mode: Mode,
@@ -134,8 +137,7 @@ struct EventState {
     ct: Timestamp,
 }
 
-/// The honest model of one workload domain (a tenant, or the whole
-/// single/sharded key space).
+/// The honest model of one workload domain (a tenant).
 #[derive(Default)]
 struct DomainModel {
     /// Full committed version history per ledger key (ledger is write-only
@@ -145,122 +147,18 @@ struct DomainModel {
     events: BTreeMap<Vec<u8>, EventState>,
 }
 
-enum Deploy {
-    Single(Option<Box<CompliantDb>>),
-    Tenants { reg: TenantRegistry, names: Vec<String> },
-    Sharded(Option<ShardedDb>),
-}
-
-impl Deploy {
-    fn kind(&self) -> &'static str {
-        match self {
-            Deploy::Single(_) => "single",
-            Deploy::Tenants { .. } => "tenants",
-            Deploy::Sharded(_) => "sharded",
-        }
-    }
-
-    /// Independent workload domains (each with its own model).
-    fn domains(&self) -> usize {
-        match self {
-            Deploy::Single(_) | Deploy::Sharded(_) => 1,
-            Deploy::Tenants { names, .. } => names.len(),
-        }
-    }
-
-    /// Attackable/auditable engines, with their Mala targets.
-    fn targets(&self) -> Vec<MalaTarget> {
-        match self {
-            Deploy::Single(_) => vec![MalaTarget::Root],
-            Deploy::Tenants { names, .. } => {
-                names.iter().map(|n| MalaTarget::Tenant(n.clone())).collect()
-            }
-            Deploy::Sharded(db) => {
-                let n = db.as_ref().expect("deployment open").shards().len();
-                (0..n).map(|i| MalaTarget::Shard(i as u32)).collect()
-            }
-        }
-    }
-
-    fn engines(&self) -> usize {
-        self.targets().len()
-    }
-
-    /// Runs `f` against engine `i` (a tenant's db, a shard's db, or the
-    /// single db).
-    fn with_engine<R>(&self, i: usize, f: impl FnOnce(&CompliantDb) -> R) -> R {
-        match self {
-            Deploy::Single(db) => f(db.as_ref().expect("deployment open")),
-            Deploy::Tenants { reg, names } => {
-                f(reg.tenant(&names[i]).expect("tenant open").as_ref())
-            }
-            Deploy::Sharded(db) => f(db.as_ref().expect("deployment open").shards()[i].as_ref()),
-        }
-    }
-
-    /// Latest committed value of `(rel, key)` in `domain`, routed through
-    /// the shard map for sharded deployments.
-    fn read_latest(
-        &self,
-        domain: usize,
-        rel: RelId,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>, String> {
-        match self {
-            Deploy::Single(db) => db
-                .as_ref()
-                .expect("deployment open")
-                .engine()
-                .read_latest(rel, key)
-                .map_err(|e| format!("read_latest({key:02x?}) failed: {e}")),
-            Deploy::Tenants { reg, names } => reg
-                .tenant(&names[domain])
-                .expect("tenant open")
-                .engine()
-                .read_latest(rel, key)
-                .map_err(|e| format!("read_latest({key:02x?}) failed: {e}")),
-            Deploy::Sharded(db) => {
-                let db = db.as_ref().expect("deployment open");
-                let s = db.map().shard_of(key);
-                db.shards()[s]
-                    .engine()
-                    .read_latest(rel, key)
-                    .map_err(|e| format!("shard read_latest({key:02x?}) failed: {e}"))
-            }
-        }
-    }
-
-    /// Full committed version history of `(rel, key)` in `domain`.
-    fn version_history(
-        &self,
-        domain: usize,
-        rel: RelId,
-        key: &[u8],
-    ) -> Result<Vec<(Timestamp, bool, Vec<u8>)>, String> {
-        let via = |db: &CompliantDb| {
-            db.version_history(rel, key)
-                .map_err(|e| format!("version_history({key:02x?}) failed: {e}"))
-        };
-        match self {
-            Deploy::Single(db) => via(db.as_ref().expect("deployment open")),
-            Deploy::Tenants { reg, names } => {
-                via(reg.tenant(&names[domain]).expect("tenant open").as_ref())
-            }
-            Deploy::Sharded(db) => {
-                let db = db.as_ref().expect("deployment open");
-                via(db.shards()[db.map().shard_of(key)].as_ref())
-            }
-        }
-    }
-}
-
 /// One running campaign.
 struct Run {
     seed: u64,
     rng: SplitMix64,
     clock: Arc<VirtualClock>,
     dir: TempDir,
-    deploy: Deploy,
+    /// The deployment under test: tenant `names[d]` serves workload domain
+    /// `d`, each a [`ShardedDb`] of `shards` shards. `None` only while a
+    /// whole-deployment crash reopens it.
+    reg: Option<TenantRegistry>,
+    names: Vec<String>,
+    shards: u32,
     mode: Mode,
     retention: Duration,
     ledger: RelId,
@@ -303,82 +201,50 @@ impl Run {
         let retention = Duration::from_mins(rng.gen_range(20..180u64) * 1440);
         let dir = TempDir::new(&format!("campaign-{seed}"));
         let clock = Arc::new(VirtualClock::ticking(Duration::from_micros(40)));
-        let deploy = match rng.gen_range(0..6u32) {
-            0..=2 => Deploy::Single(Some(Box::new(
-                CompliantDb::open(&dir.0, clock.clone(), config.clone())
-                    .map_err(|e| format!("open failed: {e}"))?,
-            ))),
-            3..=4 => {
-                let shards = if rng.gen_bool(0.25) { 3u32 } else { 2 };
-                Deploy::Sharded(Some(
-                    ShardedDb::open(&dir.0, clock.clone(), config.clone(), shards)
-                        .map_err(|e| format!("sharded open failed: {e}"))?,
-                ))
-            }
-            _ => {
-                let reg = TenantRegistry::open(&dir.0, clock.clone(), config.clone())
-                    .map_err(|e| format!("registry open failed: {e}"))?;
-                let names = vec!["alpha".to_string(), "beta".to_string()];
-                for n in &names {
-                    reg.create_or_open(n).map_err(|e| format!("tenant {n} open failed: {e}"))?;
-                }
-                Deploy::Tenants { reg, names }
-            }
+        let (tenants, shards) = match rng.gen_range(0..6u32) {
+            0..=2 => (1, 1),
+            3..=4 => (1, if rng.gen_bool(0.25) { 3 } else { 2 }),
+            _ => (2, if rng.gen_bool(0.5) { 2 } else { 1 }),
         };
-        // Schema: the same two relations on every engine, in the same
+        let reg = TenantRegistry::open(&dir.0, clock.clone(), config.clone(), shards)
+            .map_err(|e| format!("registry open failed: {e}"))?;
+        let names: Vec<String> =
+            ["alpha", "beta"][..tenants].iter().map(|n| n.to_string()).collect();
+        // Schema: the same two relations in every tenant, in the same
         // order, so the ids agree deployment-wide.
-        let (ledger, events) = match &deploy {
-            Deploy::Sharded(db) => {
-                let db = db.as_ref().expect("deployment open");
-                let l = db
-                    .create_relation("ledger", SplitPolicy::KeyOnly)
-                    .map_err(|e| format!("create ledger failed: {e}"))?;
-                let ev = db
-                    .create_relation("events", SplitPolicy::TimeSplit { threshold: 0.5 })
-                    .map_err(|e| format!("create events failed: {e}"))?;
-                db.set_retention("events", retention)
-                    .map_err(|e| format!("set_retention failed: {e}"))?;
-                (l, ev)
-            }
-            d => {
-                let mut ids = None;
-                for i in 0..d.engines() {
-                    let got = d.with_engine(i, |db| -> Result<(RelId, RelId), String> {
-                        let l = db
-                            .create_relation("ledger", SplitPolicy::KeyOnly)
-                            .map_err(|e| format!("create ledger failed: {e}"))?;
-                        let ev = db
-                            .create_relation("events", SplitPolicy::TimeSplit { threshold: 0.5 })
-                            .map_err(|e| format!("create events failed: {e}"))?;
-                        let txn = db.begin().map_err(|e| e.to_string())?;
-                        db.set_retention(txn, "events", retention)
-                            .map_err(|e| format!("set_retention failed: {e}"))?;
-                        db.commit(txn).map_err(|e| e.to_string())?;
-                        Ok((l, ev))
-                    })?;
-                    match ids {
-                        None => ids = Some(got),
-                        Some(prev) if prev != got => {
-                            return Err(format!("relation ids diverge: {prev:?} vs {got:?}"))
-                        }
-                        Some(_) => {}
-                    }
+        let mut ids = None;
+        for n in &names {
+            let db = reg.create_or_open(n).map_err(|e| format!("tenant {n} open failed: {e}"))?;
+            let l = db
+                .create_relation("ledger", SplitPolicy::KeyOnly)
+                .map_err(|e| format!("create ledger failed: {e}"))?;
+            let ev = db
+                .create_relation("events", SplitPolicy::TimeSplit { threshold: 0.5 })
+                .map_err(|e| format!("create events failed: {e}"))?;
+            db.set_retention("events", retention)
+                .map_err(|e| format!("set_retention failed: {e}"))?;
+            match ids {
+                None => ids = Some((l, ev)),
+                Some(prev) if prev != (l, ev) => {
+                    return Err(format!("relation ids diverge: {prev:?} vs {:?}", (l, ev)))
                 }
-                ids.expect("at least one engine")
+                Some(_) => {}
             }
-        };
-        let domains = deploy.domains();
+        }
+        let (ledger, events) = ids.expect("at least one tenant");
         Ok(Run {
             seed,
             rng,
             clock,
             dir,
-            deploy,
+            reg: Some(reg),
+            names,
+            shards,
             mode,
             retention,
             ledger,
             events,
-            models: (0..domains).map(|_| DomainModel::default()).collect(),
+            models: (0..tenants).map(|_| DomainModel::default()).collect(),
             holds: BTreeMap::new(),
             forged: Vec::new(),
             hold_seq: 0,
@@ -399,6 +265,69 @@ impl Run {
 
     fn err(&self, msg: impl fmt::Display) -> String {
         format!("seed {}: {msg}", self.seed)
+    }
+
+    /// The deployment shape's name (see [`CampaignOutcome::deployment`]).
+    fn shape(&self) -> &'static str {
+        match (self.names.len() > 1, self.shards > 1) {
+            (false, false) => "single",
+            (true, false) => "tenants",
+            (false, true) => "sharded",
+            (true, true) => "tenants-x-shards",
+        }
+    }
+
+    fn reg(&self) -> &TenantRegistry {
+        self.reg.as_ref().expect("deployment open")
+    }
+
+    /// Domain `domain`'s tenant.
+    fn tenant(&self, domain: usize) -> Arc<ShardedDb> {
+        self.reg().get(&self.names[domain]).expect("tenant open")
+    }
+
+    /// The domain a Mala target's tenant serves.
+    fn domain_of(&self, target: &MalaTarget) -> usize {
+        self.names.iter().position(|n| *n == target.tenant).expect("known tenant")
+    }
+
+    /// Every engine with its Mala target, tenant-major.
+    fn engines(&self) -> Vec<(MalaTarget, Arc<CompliantDb>)> {
+        let mut out = Vec::new();
+        for (domain, name) in self.names.iter().enumerate() {
+            for (i, db) in self.tenant(domain).shards().iter().enumerate() {
+                out.push((MalaTarget { tenant: name.clone(), shard: i as u32 }, db.clone()));
+            }
+        }
+        out
+    }
+
+    /// Latest committed value of `(rel, key)` in `domain`, read on the
+    /// shard that owns the key.
+    fn read_latest(
+        &self,
+        domain: usize,
+        rel: RelId,
+        key: &[u8],
+    ) -> Result<Option<Vec<u8>>, String> {
+        self.tenant(domain)
+            .shard_for(key)
+            .engine()
+            .read_latest(rel, key)
+            .map_err(|e| format!("read_latest({key:02x?}) failed: {e}"))
+    }
+
+    /// Full committed version history of `(rel, key)` in `domain`.
+    fn version_history(
+        &self,
+        domain: usize,
+        rel: RelId,
+        key: &[u8],
+    ) -> Result<Vec<(Timestamp, bool, Vec<u8>)>, String> {
+        self.tenant(domain)
+            .shard_for(key)
+            .version_history(rel, key)
+            .map_err(|e| format!("version_history({key:02x?}) failed: {e}"))
     }
 
     // --- honest actions ---------------------------------------------------
@@ -442,44 +371,20 @@ impl Run {
                 }
             }
             let commit = self.rng.gen_bool(0.85);
-            let ct = match &self.deploy {
-                Deploy::Sharded(db) => {
-                    let db = db.as_ref().expect("deployment open");
-                    let mut dtx = db.begin();
-                    for (key, (rel, val)) in &ops {
-                        match val {
-                            Some(v) => db
-                                .write(&mut dtx, *rel, key, v)
-                                .map_err(|e| self.err(format!("write failed: {e}")))?,
-                            None => db
-                                .delete(&mut dtx, *rel, key)
-                                .map_err(|e| self.err(format!("delete failed: {e}")))?,
-                        }
-                    }
-                    if commit {
-                        Some(db.commit(dtx).map_err(|e| self.err(format!("commit failed: {e}")))?)
-                    } else {
-                        db.abort(dtx).map_err(|e| self.err(format!("abort failed: {e}")))?;
-                        None
-                    }
+            let db = self.tenant(domain);
+            let mut dtx = db.begin();
+            for (key, (rel, val)) in &ops {
+                match val {
+                    Some(v) => db.write(&mut dtx, *rel, key, v),
+                    None => db.delete(&mut dtx, *rel, key),
                 }
-                d => d
-                    .with_engine(domain, |db| -> Result<Option<Timestamp>, String> {
-                        let t = db.begin().map_err(|e| e.to_string())?;
-                        for (key, (rel, val)) in &ops {
-                            match val {
-                                Some(v) => db.write(t, *rel, key, v).map_err(|e| e.to_string())?,
-                                None => db.delete(t, *rel, key).map_err(|e| e.to_string())?,
-                            }
-                        }
-                        if commit {
-                            Ok(Some(db.commit(t).map_err(|e| e.to_string())?))
-                        } else {
-                            db.abort(t).map_err(|e| e.to_string())?;
-                            Ok(None)
-                        }
-                    })
-                    .map_err(|e| self.err(format!("workload txn failed: {e}")))?,
+                .map_err(|e| self.err(format!("workload op failed: {e}")))?;
+            }
+            let ct = if commit {
+                Some(db.commit(dtx).map_err(|e| self.err(format!("commit failed: {e}")))?)
+            } else {
+                db.abort(dtx).map_err(|e| self.err(format!("abort failed: {e}")))?;
+                None
             };
             if let Some(ct) = ct {
                 committed += 1;
@@ -511,24 +416,11 @@ impl Run {
     /// Commits one single-op transaction against `domain` and updates the
     /// model.
     fn commit_one(&mut self, domain: usize, key: Vec<u8>, val: Vec<u8>) -> Result<(), String> {
-        let ct = match &self.deploy {
-            Deploy::Sharded(db) => {
-                let db = db.as_ref().expect("deployment open");
-                let mut dtx = db.begin();
-                db.write(&mut dtx, self.events, &key, &val)
-                    .map_err(|e| self.err(format!("storm write failed: {e}")))?;
-                db.commit(dtx).map_err(|e| self.err(format!("storm commit failed: {e}")))?
-            }
-            d => {
-                let events = self.events;
-                d.with_engine(domain, |db| -> Result<Timestamp, String> {
-                    let t = db.begin().map_err(|e| e.to_string())?;
-                    db.write(t, events, &key, &val).map_err(|e| e.to_string())?;
-                    db.commit(t).map_err(|e| e.to_string())
-                })
-                .map_err(|e| self.err(format!("storm txn failed: {e}")))?
-            }
-        };
+        let db = self.tenant(domain);
+        let mut dtx = db.begin();
+        db.write(&mut dtx, self.events, &key, &val)
+            .map_err(|e| self.err(format!("storm write failed: {e}")))?;
+        let ct = db.commit(dtx).map_err(|e| self.err(format!("storm commit failed: {e}")))?;
         self.commits += 1;
         self.models[domain].events.insert(key, EventState { val: Some(val), ct });
         Ok(())
@@ -571,20 +463,10 @@ impl Run {
     }
 
     fn tick_all(&mut self) -> Result<(), String> {
-        match &self.deploy {
-            Deploy::Sharded(db) => db
-                .as_ref()
-                .expect("deployment open")
-                .tick()
-                .map_err(|e| self.err(format!("tick failed: {e}"))),
-            d => {
-                for i in 0..d.engines() {
-                    d.with_engine(i, |db| db.tick())
-                        .map_err(|e| self.err(format!("tick failed: {e}")))?;
-                }
-                Ok(())
-            }
+        for domain in 0..self.models.len() {
+            self.tenant(domain).tick().map_err(|e| self.err(format!("tick failed: {e}")))?;
         }
+        Ok(())
     }
 
     fn place_hold(&mut self) -> Result<(), String> {
@@ -604,23 +486,10 @@ impl Run {
             rel_name: "events".into(),
             key_prefix: prefix.clone().into_bytes(),
         };
-        match &self.deploy {
-            Deploy::Sharded(db) => db
-                .as_ref()
-                .expect("deployment open")
+        for domain in 0..self.models.len() {
+            self.tenant(domain)
                 .place_hold(&hold)
-                .map_err(|e| self.err(format!("place_hold failed: {e}")))?,
-            d => {
-                for i in 0..d.engines() {
-                    d.with_engine(i, |db| -> ccdb_common::Result<()> {
-                        let t = db.begin()?;
-                        db.place_hold(t, &hold)?;
-                        db.commit(t)?;
-                        Ok(())
-                    })
-                    .map_err(|e| self.err(format!("place_hold failed: {e}")))?;
-                }
-            }
+                .map_err(|e| self.err(format!("place_hold failed: {e}")))?;
         }
         self.trace.push(format!("hold place {} prefix={prefix}", hold.id));
         self.holds.insert(hold.id.clone(), hold);
@@ -637,23 +506,10 @@ impl Run {
         else {
             return Ok(());
         };
-        match &self.deploy {
-            Deploy::Sharded(db) => db
-                .as_ref()
-                .expect("deployment open")
+        for domain in 0..self.models.len() {
+            self.tenant(domain)
                 .release_hold(&id)
-                .map_err(|e| self.err(format!("release_hold failed: {e}")))?,
-            d => {
-                for i in 0..d.engines() {
-                    d.with_engine(i, |db| -> ccdb_common::Result<()> {
-                        let t = db.begin()?;
-                        db.release_hold(t, &id)?;
-                        db.commit(t)?;
-                        Ok(())
-                    })
-                    .map_err(|e| self.err(format!("release_hold failed: {e}")))?;
-                }
-            }
+                .map_err(|e| self.err(format!("release_hold failed: {e}")))?;
         }
         self.trace.push(format!("hold release {id}"));
         self.holds.remove(&id);
@@ -665,32 +521,17 @@ impl Run {
     /// latest version was expiry-eligible and unheld, and held keys must
     /// survive byte-for-byte.
     fn vacuum_cycle(&mut self) -> Result<(), String> {
-        let (remigrated, report) = match &self.deploy {
-            Deploy::Sharded(db) => {
-                let db = db.as_ref().expect("deployment open");
-                let rm = db.remigrate_expired().map_err(|e| self.err(format!("remigrate: {e}")))?;
-                let rep = db.vacuum().map_err(|e| self.err(format!("vacuum: {e}")))?;
-                (rm, rep)
-            }
-            d => {
-                let mut rm = 0usize;
-                let mut rep = ccdb_core::shred::VacuumReport::default();
-                for i in 0..d.engines() {
-                    let (a, b) = d
-                        .with_engine(i, |db| -> ccdb_common::Result<_> {
-                            let a = db.remigrate_expired()?;
-                            let b = db.vacuum()?;
-                            Ok((a, b))
-                        })
-                        .map_err(|e| self.err(format!("vacuum cycle failed: {e}")))?;
-                    rm += a;
-                    rep.shredded += b.shredded;
-                    rep.held += b.held;
-                    rep.revacuumed += b.revacuumed;
-                }
-                (rm, rep)
-            }
-        };
+        let mut remigrated = 0usize;
+        let mut report = ccdb_core::shred::VacuumReport::default();
+        for domain in 0..self.models.len() {
+            let db = self.tenant(domain);
+            remigrated +=
+                db.remigrate_expired().map_err(|e| self.err(format!("remigrate: {e}")))?;
+            let r = db.vacuum().map_err(|e| self.err(format!("vacuum: {e}")))?;
+            report.shredded += r.shredded;
+            report.held += r.held;
+            report.revacuumed += r.revacuumed;
+        }
         self.vacuums += 1;
         self.shredded += report.shredded;
         self.held_spared += report.held;
@@ -706,7 +547,7 @@ impl Run {
             let entries: Vec<(Vec<u8>, EventState)> =
                 self.models[domain].events.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
             for (key, state) in entries {
-                let got = self.deploy.read_latest(domain, self.events, &key)?;
+                let got = self.read_latest(domain, self.events, &key)?;
                 match (&got, &state.val) {
                     (Some(g), Some(v)) if g == v => {}
                     (None, None) => {}
@@ -746,56 +587,31 @@ impl Run {
     }
 
     fn migrate(&mut self) -> Result<(), String> {
-        let report = match &self.deploy {
-            Deploy::Sharded(db) => db
-                .as_ref()
-                .expect("deployment open")
+        let mut pages = 0;
+        for domain in 0..self.models.len() {
+            let r = self
+                .tenant(domain)
                 .migrate_to_worm(self.events)
-                .map_err(|e| self.err(format!("migrate failed: {e}")))?,
-            d => {
-                let mut rep = ccdb_core::migrate::MigrationReport::default();
-                for i in 0..d.engines() {
-                    let r = d
-                        .with_engine(i, |db| db.migrate_to_worm(self.events))
-                        .map_err(|e| self.err(format!("migrate failed: {e}")))?;
-                    rep.pages_migrated += r.pages_migrated;
-                    rep.tuples_migrated += r.tuples_migrated;
-                }
-                rep
-            }
-        };
-        self.pages_migrated += report.pages_migrated;
-        self.trace.push(format!("migrate: {} pages to WORM", report.pages_migrated));
+                .map_err(|e| self.err(format!("migrate failed: {e}")))?;
+            pages += r.pages_migrated;
+        }
+        self.pages_migrated += pages;
+        self.trace.push(format!("migrate: {pages} pages to WORM"));
         Ok(())
     }
 
     /// A mid-campaign sealing audit; must be clean (contract point 3).
     fn sealing_audit(&mut self) -> Result<(), String> {
-        match &self.deploy {
-            Deploy::Sharded(db) => {
-                let a = db
-                    .as_ref()
-                    .expect("deployment open")
-                    .audit()
-                    .map_err(|e| self.err(format!("sealing audit errored: {e}")))?;
-                if !a.is_clean() {
-                    return Err(
-                        self.err(format!("honest sealing audit dirty: {:?}", a.all_violations()))
-                    );
-                }
-            }
-            d => {
-                for i in 0..d.engines() {
-                    let report = d
-                        .with_engine(i, |db| db.audit())
-                        .map_err(|e| self.err(format!("sealing audit errored: {e}")))?;
-                    if !report.is_clean() {
-                        return Err(self.err(format!(
-                            "honest sealing audit dirty on engine {i}: {:?}",
-                            report.violations
-                        )));
-                    }
-                }
+        for (domain, name) in self.names.iter().enumerate() {
+            let a = self
+                .tenant(domain)
+                .audit()
+                .map_err(|e| self.err(format!("sealing audit errored: {e}")))?;
+            if !a.is_clean() {
+                return Err(self.err(format!(
+                    "honest sealing audit dirty on tenant {name}: {:?}",
+                    a.all_violations()
+                )));
             }
         }
         self.sealed_audits += 1;
@@ -803,46 +619,38 @@ impl Run {
         Ok(())
     }
 
+    /// Crashes every tenant at once, or (on sharded tenants, 60 % of the
+    /// time) one shard of one tenant, and recovers.
     fn crash(&mut self) -> Result<(), String> {
-        match &mut self.deploy {
-            Deploy::Single(slot) => {
-                let db = slot.take().expect("deployment open");
-                *slot = Some(Box::new(
-                    db.crash_and_recover()
-                        .map_err(|e| format!("seed {}: recovery failed: {e}", self.seed))?,
-                ));
-                self.trace.push("crash+recover (whole)".into());
-            }
-            Deploy::Sharded(slot) => {
-                let whole = self.rng.gen_bool(0.4);
-                if whole {
-                    let db = slot.take().expect("deployment open");
-                    *slot = Some(db.crash_and_recover().map_err(|e| {
-                        format!("seed {}: deployment recovery failed: {e}", self.seed)
-                    })?);
-                    self.trace.push("crash+recover (whole deployment)".into());
-                } else {
-                    let db = slot.as_mut().expect("deployment open");
-                    let victim = self.rng.gen_range(0..db.shards().len() as u64) as usize;
-                    db.crash_shard(victim).map_err(|e| {
-                        format!("seed {}: shard {victim} recovery failed: {e}", self.seed)
-                    })?;
-                    self.trace.push(format!("crash+recover shard {victim}"));
-                }
-            }
-            // Tenant registries hold shared handles; crashing one is a
-            // registry-level restart this campaign does not model.
-            Deploy::Tenants { .. } => return Ok(()),
+        let shards = self.shards as usize;
+        if shards == 1 || self.rng.gen_bool(0.4) {
+            return self.crash_whole();
         }
+        let engine = self.rng.gen_range(0..(self.models.len() * shards) as u64) as usize;
+        let target = MalaTarget {
+            tenant: self.names[engine / shards].clone(),
+            shard: (engine % shards) as u32,
+        };
+        self.reg()
+            .crash_shard(&target.tenant, engine % shards)
+            .map_err(|e| self.err(format!("{target} recovery failed: {e}")))?;
+        self.trace.push(format!("crash+recover {target}"));
+        self.crashes += 1;
+        Ok(())
+    }
+
+    fn crash_whole(&mut self) -> Result<(), String> {
+        let reg = self.reg.take().expect("deployment open");
+        let reg = reg.crash_and_recover().map_err(|e| self.err(format!("recovery failed: {e}")))?;
+        self.reg = Some(reg);
+        self.trace.push("crash+recover (whole)".into());
         self.crashes += 1;
         Ok(())
     }
 
     fn stamp_all(&mut self) -> Result<(), String> {
-        for i in 0..self.deploy.engines() {
-            self.deploy
-                .with_engine(i, |db| db.engine().run_stamper())
-                .map_err(|e| self.err(format!("stamper failed: {e}")))?;
+        for (target, db) in self.engines() {
+            db.engine().run_stamper().map_err(|e| self.err(format!("{target} stamper: {e}")))?;
         }
         Ok(())
     }
@@ -851,35 +659,27 @@ impl Run {
     /// authoritative and Mala's edits bite.
     fn settle(&mut self) -> Result<(), String> {
         self.stamp_all()?;
-        for i in 0..self.deploy.engines() {
-            self.deploy
-                .with_engine(i, |db| db.engine().clear_cache())
-                .map_err(|e| self.err(format!("clear_cache failed: {e}")))?;
+        for (target, db) in self.engines() {
+            db.engine()
+                .clear_cache()
+                .map_err(|e| self.err(format!("{target} clear_cache: {e}")))?;
         }
         Ok(())
     }
 
     // --- tamper phase -----------------------------------------------------
 
-    /// Picks a ledger key for tampering; for sharded deployments, one
-    /// routed to the target shard so the attack has bytes to find.
+    /// Picks a ledger key of the target's tenant routed to the target's
+    /// shard, so the attack has bytes to find.
     fn tamper_key(&mut self, target: &MalaTarget) -> Option<Vec<u8>> {
-        let keys: Vec<Vec<u8>> = match (&self.deploy, target) {
-            (Deploy::Sharded(db), MalaTarget::Shard(s)) => {
-                let db = db.as_ref().expect("deployment open");
-                self.models[0]
-                    .ledger
-                    .keys()
-                    .filter(|k| db.map().shard_of(k) == *s as usize)
-                    .cloned()
-                    .collect()
-            }
-            (Deploy::Tenants { names, .. }, MalaTarget::Tenant(name)) => {
-                let domain = names.iter().position(|n| n == name).expect("known tenant");
-                self.models[domain].ledger.keys().cloned().collect()
-            }
-            _ => self.models[0].ledger.keys().cloned().collect(),
-        };
+        let domain = self.domain_of(target);
+        let map = *self.tenant(domain).map();
+        let keys: Vec<Vec<u8>> = self.models[domain]
+            .ledger
+            .keys()
+            .filter(|k| map.shard_of(k) == target.shard as usize)
+            .cloned()
+            .collect();
         if keys.is_empty() {
             return None;
         }
@@ -916,15 +716,9 @@ impl Run {
                     }
                 }
                 6 => self.tamper_key(target).map(|key| TamperAction::RevertRoundTrip { key }),
-                _ => {
-                    // WAL wiping is modeled together with a crash, which
-                    // this harness only drives on single deployments.
-                    if matches!(self.deploy, Deploy::Single(_)) {
-                        Some(TamperAction::WipeWal)
-                    } else {
-                        None
-                    }
-                }
+                // A wiped WAL only matters across a restart: the tamper
+                // phase follows it with a whole-deployment crash.
+                _ => Some(TamperAction::WipeWal),
             };
             if action.is_some() {
                 return action;
@@ -941,12 +735,12 @@ impl Run {
             if self.rng.gen_bool(0.35) { 0 } else { self.rng.gen_range(1..4u32) as usize };
         let mut landed = 0usize;
         let mut wal_wiped = false;
-        let targets = self.deploy.targets();
+        let targets: Vec<MalaTarget> = self.engines().into_iter().map(|(t, _)| t).collect();
         for _ in 0..drawn_count {
             let target = targets[self.rng.gen_range(0..targets.len() as u64) as usize].clone();
             let mala = Mala::for_deployment(&self.dir.0, &target);
             let Some(action) = self.draw_tamper(&target, &mala) else {
-                self.trace.push(format!("tamper {target:?}: no viable action"));
+                self.trace.push(format!("tamper {target}: no viable action"));
                 continue;
             };
             let hit = mala
@@ -956,96 +750,93 @@ impl Run {
                 landed += 1;
                 wal_wiped |= matches!(action, TamperAction::WipeWal);
                 if let TamperAction::BackdateInsert { key, .. } = &action {
-                    let domain = match (&self.deploy, &target) {
-                        (Deploy::Tenants { names, .. }, MalaTarget::Tenant(name)) => {
-                            names.iter().position(|n| n == name).expect("known tenant")
-                        }
-                        _ => 0,
-                    };
-                    self.forged.push((domain, key.clone()));
+                    self.forged.push((self.domain_of(&target), key.clone()));
                 }
             }
-            self.trace.push(format!("tamper {target:?}: {action:?} landed={hit}"));
+            self.trace.push(format!("tamper {target}: {action:?} landed={hit}"));
         }
         if wal_wiped {
-            // A wiped WAL only matters across a restart; Mala forces one.
-            self.crash()?;
+            self.crash_whole()?;
         }
         Ok((drawn_count, landed))
     }
 
     // --- verdict ----------------------------------------------------------
 
-    /// Runs the three auditors over one engine and enforces verdict
-    /// identity. Returns the agreed violations (empty = clean).
-    fn engine_verdict(&self, i: usize) -> Result<Vec<String>, String> {
-        self.deploy.with_engine(i, |db| {
-            let serial = db
-                .audit_outcome_with(AuditConfig::serial())
-                .map_err(|e| self.err(format!("engine {i}: serial audit errored: {e}")))?;
-            let par = db
-                .audit_outcome_with(AuditConfig::default().with_threads(2))
-                .map_err(|e| self.err(format!("engine {i}: parallel audit errored: {e}")))?;
+    /// Runs the three auditors over one tenant and enforces verdict
+    /// identity per shard and on the cross-shard join. Returns the agreed
+    /// violations (empty = clean).
+    fn tenant_verdict(&self, domain: usize) -> Result<Vec<String>, String> {
+        let name = &self.names[domain];
+        let db = self.tenant(domain);
+        let (serial, cross) = db
+            .audit_dry(AuditConfig::serial())
+            .map_err(|e| self.err(format!("{name}: serial audit errored: {e}")))?;
+        let (par, par_cross) = db
+            .audit_dry(AuditConfig::default().with_threads(2))
+            .map_err(|e| self.err(format!("{name}: parallel audit errored: {e}")))?;
+        if cross != par_cross {
+            return Err(self.err(format!(
+                "VERDICT SPLIT {name}: cross-shard join serial {cross:?} vs parallel {par_cross:?}"
+            )));
+        }
+        for (i, ((serial, par), shard)) in serial.iter().zip(&par).zip(db.shards()).enumerate() {
+            let at = format!("{name}/shard-{i}");
             if serial.report.violations != par.report.violations {
                 return Err(self.err(format!(
-                    "VERDICT SPLIT engine {i}: serial {:?} vs parallel {:?}",
+                    "VERDICT SPLIT {at}: serial {:?} vs parallel {:?}",
                     serial.report.violations, par.report.violations
                 )));
             }
             if serial.report.forensics != par.report.forensics {
-                return Err(self.err(format!("VERDICT SPLIT engine {i}: forensics diverge")));
+                return Err(self.err(format!("VERDICT SPLIT {at}: forensics diverge")));
             }
             if serial.tuple_hash != par.tuple_hash {
-                return Err(
-                    self.err(format!("VERDICT SPLIT engine {i}: completeness hash diverges"))
-                );
+                return Err(self.err(format!("VERDICT SPLIT {at}: completeness hash diverges")));
             }
-            let mut stream = db
+            let mut stream = shard
                 .stream_auditor()
-                .map_err(|e| self.err(format!("engine {i}: stream attach errored: {e}")))?;
+                .map_err(|e| self.err(format!("{at}: stream attach errored: {e}")))?;
             let alert = stream
-                .poll_deep(db)
-                .map_err(|e| self.err(format!("engine {i}: stream poll errored: {e}")))?;
+                .poll_deep(shard)
+                .map_err(|e| self.err(format!("{at}: stream poll errored: {e}")))?;
             match (&alert, serial.report.is_clean()) {
                 (None, true) => {}
                 (Some(a), false) => {
                     if a.violations != serial.report.violations {
                         return Err(self.err(format!(
-                            "VERDICT SPLIT engine {i}: stream {:?} vs batch {:?}",
+                            "VERDICT SPLIT {at}: stream {:?} vs batch {:?}",
                             a.violations, serial.report.violations
                         )));
                     }
                 }
                 (Some(a), true) => {
                     return Err(self.err(format!(
-                        "VERDICT SPLIT engine {i}: streaming false alarm {:?}",
+                        "VERDICT SPLIT {at}: streaming false alarm {:?}",
                         a.violations
                     )))
                 }
                 (None, false) => {
                     return Err(self.err(format!(
-                        "VERDICT SPLIT engine {i}: streaming daemon missed {:?}",
+                        "VERDICT SPLIT {at}: streaming daemon missed {:?}",
                         serial.report.violations
                     )))
                 }
             }
-            Ok(serial.report.violations.iter().map(|v| format!("{v:?}")).collect())
-        })
+        }
+        let mut violations: Vec<String> = serial
+            .iter()
+            .flat_map(|o| o.report.violations.iter().map(|v| format!("{v:?}")))
+            .collect();
+        violations.extend(cross.iter().map(|v| format!("cross-shard {v:?}")));
+        Ok(violations)
     }
 
-    /// The full three-auditor deployment verdict: per-engine identity plus
-    /// (for sharded deployments) the cross-shard decision join.
+    /// The full three-auditor deployment verdict, tenant by tenant.
     fn verdict(&mut self) -> Result<Vec<String>, String> {
         let mut violations: Vec<String> = Vec::new();
-        for i in 0..self.deploy.engines() {
-            violations.extend(self.engine_verdict(i)?);
-        }
-        if let Deploy::Sharded(db) = &self.deploy {
-            let db = db.as_ref().expect("deployment open");
-            let (_, cross) = db
-                .audit_dry(AuditConfig::serial())
-                .map_err(|e| self.err(format!("cross-shard join errored: {e}")))?;
-            violations.extend(cross.iter().map(|v| format!("cross-shard {v:?}")));
+        for domain in 0..self.models.len() {
+            violations.extend(self.tenant_verdict(domain)?);
         }
         self.trace.push(format!(
             "verdict: {} ({} violations)",
@@ -1059,7 +850,7 @@ impl Run {
     /// — full version history for the ledger, latest state for events.
     fn check_state(&self) -> Result<(), String> {
         for (domain, key) in &self.forged {
-            let hist = self.deploy.version_history(*domain, self.ledger, key)?;
+            let hist = self.version_history(*domain, self.ledger, key)?;
             if !hist.is_empty() {
                 return Err(self.err(format!(
                     "forged key {:?} is visible with {} version(s)",
@@ -1070,7 +861,7 @@ impl Run {
         }
         for (domain, model) in self.models.iter().enumerate() {
             for (key, writes) in &model.ledger {
-                let hist = self.deploy.version_history(domain, self.ledger, key)?;
+                let hist = self.version_history(domain, self.ledger, key)?;
                 let got: Vec<&[u8]> = hist.iter().map(|(_, _, v)| v.as_slice()).collect();
                 let want: Vec<&[u8]> = writes.iter().map(|v| v.as_slice()).collect();
                 if got != want || hist.iter().any(|(_, eol, _)| *eol) {
@@ -1089,7 +880,7 @@ impl Run {
                 }
             }
             for (key, state) in &model.events {
-                let got = self.deploy.read_latest(domain, self.events, key)?;
+                let got = self.read_latest(domain, self.events, key)?;
                 if got != state.val {
                     return Err(self.err(format!(
                         "events state diverged on {:?}: model {:?}, disk {:?}",
@@ -1167,7 +958,7 @@ impl Run {
         }
         Ok(CampaignOutcome {
             seed: self.seed,
-            deployment: self.deploy.kind(),
+            deployment: self.shape(),
             mode: self.mode,
             commits: self.commits,
             crashes: self.crashes,

@@ -21,7 +21,7 @@ use ccdb_engine::{Engine, EngineConfig};
 use ccdb_worm::WormServer;
 
 use crate::audit::stream::StreamAuditor;
-use crate::audit::{AuditConfig, AuditReport, Auditor};
+use crate::audit::{AuditConfig, AuditOutcome, AuditReport, Auditor};
 use crate::logger::ComplianceLogger;
 use crate::migrate::{self, MigrationReport};
 use crate::plugin::CompliancePlugin;
@@ -246,6 +246,13 @@ impl CompliantDb {
         self.plugin.as_ref()
     }
 
+    /// The compliance plugin, or a typed error naming `what` needed it.
+    fn compliance_plugin(&self, what: &str) -> Result<&Arc<CompliancePlugin>> {
+        self.plugin
+            .as_ref()
+            .ok_or_else(|| Error::Invalid(format!("{what} requires a compliance mode")))
+    }
+
     /// The running mode.
     pub fn mode(&self) -> Mode {
         self.config.mode
@@ -329,10 +336,7 @@ impl CompliantDb {
     /// audited history: the auditor enforces that every prepare has a
     /// matching decision that agrees with the participant's actual outcome.
     pub fn log_2pc(&self, rec: &crate::records::LogRecord) -> Result<u64> {
-        let plugin = self
-            .plugin
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("2PC records require a compliance mode".into()))?;
+        let plugin = self.compliance_plugin("2PC logging")?;
         plugin.logger().append_flush(rec)
     }
 
@@ -468,10 +472,7 @@ impl CompliantDb {
 
     /// Runs the auditable vacuum (shreds expired tuples).
     pub fn vacuum(&self) -> Result<VacuumReport> {
-        let plugin = self
-            .plugin
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("vacuum requires a compliance mode".into()))?;
+        let plugin = self.compliance_plugin("vacuum")?;
         Vacuum::run(&self.engine, plugin, self.clock.now())
     }
 
@@ -509,10 +510,7 @@ impl CompliantDb {
 
     /// Migrates a relation's historical (time-split) pages to WORM.
     pub fn migrate_to_worm(&self, rel: RelId) -> Result<MigrationReport> {
-        let plugin = self
-            .plugin
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("migration requires a compliance mode".into()))?;
+        let plugin = self.compliance_plugin("migration")?;
         migrate::migrate_relation(&self.engine, plugin, &self.worm, rel)
     }
 
@@ -537,11 +535,9 @@ impl CompliantDb {
     /// outcomes. The deployment's regret interval and read-verification
     /// mode always override the caller's (they are properties of the
     /// database, not of the audit strategy).
-    pub fn audit_outcome_with(&self, config: AuditConfig) -> Result<crate::audit::AuditOutcome> {
-        let plugin = self
-            .plugin
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("audit requires a compliance mode".into()))?;
+    pub fn audit_outcome_with(&self, config: AuditConfig) -> Result<AuditOutcome> {
+        let plugin = self.compliance_plugin("audit")?;
+        // Quiesce: drain transactions/stampers, flush all pages and records.
         self.engine.quiesce()?;
         plugin.logger().flush()?;
         plugin.tick()?;
@@ -567,70 +563,72 @@ impl CompliantDb {
     /// Runs a compliance audit. On a clean report: writes and signs the new
     /// snapshot, seals the epoch's log files, and opens the next epoch.
     pub fn audit(&self) -> Result<AuditReport> {
-        let plugin = self
-            .plugin
-            .as_ref()
-            .ok_or_else(|| Error::Invalid("audit requires a compliance mode".into()))?;
-        // Quiesce: drain transactions/stampers, flush all pages and records.
-        self.engine.quiesce()?;
-        plugin.logger().flush()?;
-        plugin.tick()?;
-        let epoch = *self.epoch.lock();
-        let auditor =
-            Auditor::new(self.worm.clone(), self.config.auditor_seed, self.audit_config());
-        plugin.begin_trusted_reads();
-        let outcome = auditor.audit(&self.engine, epoch);
-        plugin.end_trusted_reads();
-        let outcome = outcome?;
+        let outcome = self.audit_outcome_with(self.audit_config())?;
         if outcome.report.is_clean() {
-            let retention_until = match self.config.worm_artifact_retention {
-                Some(d) => self.clock.now().saturating_add(d),
-                None => Timestamp::MAX,
-            };
-            auditor.snapshots().write_with_retention(
-                epoch,
-                self.clock.now(),
-                &outcome.tuple_hash,
-                &outcome.snapshot_pages,
-                retention_until,
-            )?;
-            // Seal the replay checkpoint: the next audit can skip
-            // re-folding this (now attested) snapshot prefix of the
-            // completeness universe.
-            auditor.write_checkpoint(
-                epoch,
-                &outcome.tuple_hash,
-                outcome.report.stats.tuples_final,
-                retention_until,
-            )?;
-            // Materialize the signed epoch head for client-verifiable
-            // reads. Idempotent and derived from the just-sealed snapshot,
-            // so a crash here only means lazy materialization later.
-            EpochHeadManager::new(self.worm.clone(), self.config.auditor_seed).ensure(
-                auditor.snapshots(),
-                epoch,
-                retention_until,
-            )?;
-            plugin.logger().advance_epoch(epoch + 1)?;
-            // Rotate the WAL-tail mirror.
-            let tail_name = waltail_name(epoch + 1);
-            if !self.worm.exists(&tail_name) {
-                self.worm.create(&tail_name, retention_until)?;
-            }
-            let tail = self.worm.handle(&tail_name)?;
-            let worm_for_tail = self.worm.clone();
-            self.engine.wal().set_tail_mirror(Arc::new(move |_lsn, bytes: &[u8]| {
-                worm_for_tail
-                    .append(&tail, bytes)
-                    .map_err(|e| Error::ComplianceHalt(format!("WAL tail mirror: {e}")))
-            }));
-            *self.epoch.lock() = epoch + 1;
-            // The new epoch needs its own witness/heartbeat for the current
-            // interval; reset the tick guard so the next tick reruns.
-            *self.last_tick_interval.lock() = u64::MAX;
-            self.tick()?;
+            self.seal(&outcome)?;
         }
         Ok(outcome.report)
+    }
+
+    /// Seals the epoch a clean `outcome` attests: writes and signs its
+    /// snapshot, the replay checkpoint and the epoch head, then opens the
+    /// next epoch. The caller decides cleanliness — a sharded deployment
+    /// seals only when every shard *and* the cross-shard join are clean.
+    /// Refuses an outcome whose epoch is no longer current (a concurrent
+    /// audit sealed it first).
+    pub(crate) fn seal(&self, outcome: &AuditOutcome) -> Result<()> {
+        let plugin = self.compliance_plugin("audit")?;
+        let epoch = outcome.report.epoch;
+        if *self.epoch.lock() != epoch {
+            return Err(Error::Invalid(format!("epoch {epoch} was sealed by a concurrent audit")));
+        }
+        let auditor =
+            Auditor::new(self.worm.clone(), self.config.auditor_seed, self.audit_config());
+        let retention_until = match self.config.worm_artifact_retention {
+            Some(d) => self.clock.now().saturating_add(d),
+            None => Timestamp::MAX,
+        };
+        auditor.snapshots().write_with_retention(
+            epoch,
+            self.clock.now(),
+            &outcome.tuple_hash,
+            &outcome.snapshot_pages,
+            retention_until,
+        )?;
+        // Seal the replay checkpoint: the next audit can skip re-folding
+        // this (now attested) snapshot prefix of the completeness universe.
+        auditor.write_checkpoint(
+            epoch,
+            &outcome.tuple_hash,
+            outcome.report.stats.tuples_final,
+            retention_until,
+        )?;
+        // Materialize the signed epoch head for client-verifiable reads.
+        // Idempotent and derived from the just-sealed snapshot, so a crash
+        // here only means lazy materialization later.
+        EpochHeadManager::new(self.worm.clone(), self.config.auditor_seed).ensure(
+            auditor.snapshots(),
+            epoch,
+            retention_until,
+        )?;
+        plugin.logger().advance_epoch(epoch + 1)?;
+        // Rotate the WAL-tail mirror.
+        let tail_name = waltail_name(epoch + 1);
+        if !self.worm.exists(&tail_name) {
+            self.worm.create(&tail_name, retention_until)?;
+        }
+        let tail = self.worm.handle(&tail_name)?;
+        let worm_for_tail = self.worm.clone();
+        self.engine.wal().set_tail_mirror(Arc::new(move |_lsn, bytes: &[u8]| {
+            worm_for_tail
+                .append(&tail, bytes)
+                .map_err(|e| Error::ComplianceHalt(format!("WAL tail mirror: {e}")))
+        }));
+        *self.epoch.lock() = epoch + 1;
+        // The new epoch needs its own witness/heartbeat for the current
+        // interval; reset the tick guard so the next tick reruns.
+        *self.last_tick_interval.lock() = u64::MAX;
+        self.tick()
     }
 
     /// Attaches a [`StreamAuditor`] tailing this database's current epoch
@@ -703,13 +701,21 @@ impl CompliantDb {
         Ok((head, proven))
     }
 
-    /// Simulates a crash and reopens (running recovery under the compliance
-    /// protocol). Consumes the handle; returns the recovered database.
-    pub fn crash_and_recover(self) -> Result<CompliantDb> {
+    /// Drops every volatile structure as a crash would: the engine's
+    /// buffer pool, WAL buffer and transaction table, and `L` records not
+    /// yet flushed to WORM. The handle is unusable afterwards; reopen the
+    /// directory to recover.
+    pub(crate) fn simulate_crash(&self) {
         self.engine.crash();
         if let Some(p) = &self.plugin {
             p.logger().simulate_crash_drop_pending();
         }
+    }
+
+    /// Simulates a crash and reopens (running recovery under the compliance
+    /// protocol). Consumes the handle; returns the recovered database.
+    pub fn crash_and_recover(self) -> Result<CompliantDb> {
+        self.simulate_crash();
         let CompliantDb { dir, clock, config, worm, engine, plugin, .. } = self;
         drop(engine);
         drop(plugin);

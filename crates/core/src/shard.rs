@@ -8,11 +8,12 @@
 //! A [`ShardedDb`] partitions keys across `N` full [`CompliantDb`] stacks
 //! (own WAL, buffer pool, group-commit pipeline, L-stream) rooted at
 //! `dir/shards/<i>`, with compliance artifacts under the `shards/<i>/`
-//! prefix of the shared WORM volume — shards are siblings of tenants in the
-//! namespace tree. The partition function is a deterministic [`ShardMap`]
-//! persisted (and sealed) on WORM, so the routing itself is part of the
-//! tamper-evident record: a reopened deployment refuses a different shard
-//! count.
+//! prefix of its WORM view. Every tenant of a
+//! [`TenantRegistry`](crate::tenant::TenantRegistry) is one, nested as
+//! `tenants/<name>/shards/<i>`. The partition function is a deterministic
+//! [`ShardMap`] persisted (and sealed) on WORM, so the routing itself is
+//! part of the tamper-evident record: a reopened deployment refuses a
+//! different shard count.
 //!
 //! # 2PC on L
 //!
@@ -273,6 +274,11 @@ impl ShardedDb {
         &self.shards
     }
 
+    /// The shard owning `key` under the shard map.
+    pub fn shard_for(&self, key: &[u8]) -> &Arc<CompliantDb> {
+        &self.shards[self.map.shard_of(key)]
+    }
+
     /// The shared WORM volume (root view).
     pub fn worm(&self) -> &Arc<WormServer> {
         &self.worm
@@ -311,14 +317,15 @@ impl ShardedDb {
         self.shards.first().and_then(|db| db.engine().rel_id(name))
     }
 
-    /// Sets a relation's retention period on every shard.
+    /// Sets a relation's retention period on every shard, in a
+    /// distributed transaction of its own.
     pub fn set_retention(&self, name: &str, period: ccdb_common::Duration) -> Result<()> {
-        for db in &self.shards {
-            let txn = db.begin()?;
-            db.set_retention(txn, name, period)?;
-            db.commit(txn)?;
+        let mut dtx = self.begin();
+        if let Err(e) = self.set_retention_in(&mut dtx, name, period) {
+            let _ = self.abort(dtx);
+            return Err(e);
         }
-        Ok(())
+        self.commit(dtx).map(|_| ())
     }
 
     /// Places a litigation hold on every shard. Keys route by content, so a
@@ -430,6 +437,23 @@ impl ShardedDb {
         self.shards[s].read(txn, rel, key)
     }
 
+    /// Sets a relation's retention period on every shard inside `dtx`
+    /// (retention is a catalog property of every shard), so the change
+    /// commits or aborts with the transaction.
+    pub fn set_retention_in(
+        &self,
+        dtx: &mut DistTxn,
+        name: &str,
+        period: ccdb_common::Duration,
+    ) -> Result<()> {
+        for s in 0..self.shards.len() {
+            let txn = self.local(dtx, s)?;
+            self.shards[s].set_retention(txn, name, period)?;
+            dtx.locals.get_mut(&s).expect("local just begun").1 = true;
+        }
+        Ok(())
+    }
+
     /// Commits the distributed transaction.
     ///
     /// Zero or one *writing* participant commits locally with no 2PC
@@ -525,14 +549,11 @@ impl ShardedDb {
     // --- crash / recovery -------------------------------------------------
 
     /// Simulates a whole-deployment crash and reopens, resolving every
-    /// in-doubt transaction.
+    /// in-doubt transaction. Reopens through [`ShardedDb::open`]; a tenant
+    /// nested in a registry crashes through
+    /// [`crate::tenant::TenantRegistry::crash_and_recover`] instead.
     pub fn crash_and_recover(self) -> Result<ShardedDb> {
-        for db in &self.shards {
-            db.engine().crash();
-            if let Some(p) = db.plugin() {
-                p.logger().simulate_crash_drop_pending();
-            }
-        }
+        self.simulate_crash();
         let ShardedDb { dir, clock, config, worm, map, shards, .. } = self;
         drop(shards);
         drop(worm);
@@ -544,16 +565,18 @@ impl ShardedDb {
     /// in-doubt transactions across the deployment — the targeted-shard
     /// torture scenario: a shard dying mid-2PC must not strand its peers.
     pub fn crash_shard(&mut self, i: usize) -> Result<()> {
-        {
-            let db = &self.shards[i];
-            db.engine().crash();
-            if let Some(p) = db.plugin() {
-                p.logger().simulate_crash_drop_pending();
-            }
-        }
+        self.shards[i].simulate_crash();
         let fresh = Self::open_shard(&self.dir, &self.clock, &self.config, &self.worm, i as u32)?;
         self.shards[i] = Arc::new(fresh);
         self.resolve_indoubt()
+    }
+
+    /// Drops every shard's volatile state as a whole-deployment crash
+    /// would (see [`CompliantDb::simulate_crash`]).
+    pub(crate) fn simulate_crash(&self) {
+        for db in &self.shards {
+            db.simulate_crash();
+        }
     }
 
     /// One shard's 2PC book, read from its current epoch log.
@@ -648,15 +671,26 @@ impl ShardedDb {
         Ok(())
     }
 
-    /// Audits the deployment: the cross-shard decision join over every
-    /// shard's current epoch log, then a full (sealing) audit per shard.
-    /// The join runs first — sealing a clean shard rolls its epoch.
+    /// The audit configuration every shard runs with (see
+    /// [`CompliantDb::audit_config`]).
+    pub fn audit_config(&self) -> AuditConfig {
+        self.shards[0].audit_config()
+    }
+
+    /// Audits the deployment and seals it when it is clean: one audit per
+    /// shard, then the cross-shard decision join over the books those
+    /// audits collected. Shards seal only when every shard *and* the join
+    /// are clean — a divergence between locally consistent shards must
+    /// keep failing until it is dealt with, not be sealed away.
     pub fn audit(&self) -> Result<DeploymentAudit> {
-        let cross_shard = two_pc_cross_shard_join(&self.books());
-        let mut shard_reports = Vec::with_capacity(self.shards.len());
-        for db in &self.shards {
-            shard_reports.push(db.audit()?);
+        let (outcomes, cross_shard) = self.audit_dry(self.audit_config())?;
+        let clean = cross_shard.is_empty() && outcomes.iter().all(|o| o.report.is_clean());
+        if clean {
+            for (db, outcome) in self.shards.iter().zip(&outcomes) {
+                db.seal(outcome)?;
+            }
         }
+        let shard_reports = outcomes.into_iter().map(|o| o.report).collect();
         Ok(DeploymentAudit { shard_reports, cross_shard })
     }
 

@@ -4,13 +4,15 @@
 //!
 //! # Shape
 //!
-//! One process hosts many tenants. Each tenant is a full [`CompliantDb`]
-//! (own engine, catalog, retention, compliance-log namespace on the shared
-//! WORM volume — see `ccdb_core::tenant`); the server contributes what the
-//! embedded library cannot: a wire boundary (`ccdb_rpc`), per-session
-//! transaction ownership with idle reaping (`session`), a global bound on
-//! in-flight transactions (admission control — backpressure instead of
-//! unbounded queueing), and a Prometheus scrape endpoint (`ccdb_metrics`).
+//! One process hosts many tenants. Each tenant is a [`ShardedDb`] of
+//! `ServerConfig::shards` full compliant engines (own engine, catalog,
+//! retention, compliance-log namespace on the shared WORM volume — see
+//! `ccdb_core::tenant`); one shard is the plain single-engine case. The
+//! server contributes what the embedded library cannot: a wire boundary
+//! (`ccdb_rpc`), per-session transaction ownership with idle reaping
+//! (`session`), a global bound on in-flight transactions (admission
+//! control — backpressure instead of unbounded queueing), and a Prometheus
+//! scrape endpoint (`ccdb_metrics`).
 //!
 //! Threading is deliberately boring: one accept loop, one OS thread per
 //! connection (sessions are long-lived and the engine's own locking is the
@@ -30,7 +32,7 @@ use ccdb_common::sync::Mutex;
 use ccdb_common::{ClockRef, Duration, Error, Result, TxnId};
 use ccdb_core::audit::stream::{StreamAuditor, StreamStats};
 use ccdb_core::db::{ComplianceConfig, CompliantDb};
-use ccdb_core::shard::{DistTxn, ShardedDb};
+use ccdb_core::shard::{DeploymentAudit, DistTxn, ShardedDb};
 use ccdb_core::tenant::TenantRegistry;
 use ccdb_metrics::{MetricsServer, Registry, Sample};
 use ccdb_rpc::proto::{read_frame, write_frame, ErrorCode, Request, Response, PROTOCOL_VERSION};
@@ -63,15 +65,18 @@ pub struct ServerConfig {
     /// the disk state, catching in-place tampering); the rest are shallow
     /// log-tail polls that never touch the engine. `1` = every poll deep.
     pub audit_stream_deep_every: u32,
-    /// Shard count. `1` (the default) hosts a multi-tenant registry of
-    /// plain engines; `> 1` hosts one sharded deployment (N engines over
-    /// the shared WORM, cross-shard 2PC) that every session binds to.
+    /// Shards per tenant (default 1). Every tenant is a [`ShardedDb`] of
+    /// this many engines over the shared WORM volume; transactions that
+    /// write on more than one shard commit through cross-shard 2PC. A
+    /// tenant's WORM shard map pins its count, so reopening a data
+    /// directory with a different count is refused.
     pub shards: u32,
-    /// Auto-seal: when the streaming auditor's record lag for a tenant or
-    /// shard reaches this, the daemon runs a full sealing audit on it.
+    /// Auto-seal: when the streaming auditor's record lag on any shard of
+    /// a tenant reaches this, the daemon runs a full sealing audit of the
+    /// tenant.
     pub auto_seal_lag: Option<u64>,
     /// Auto-seal: when this many milliseconds pass without a seal on a
-    /// tenant or shard, the daemon runs a full sealing audit on it.
+    /// tenant, the daemon runs a full sealing audit of it.
     pub auto_seal_ms: Option<u64>,
 }
 
@@ -96,46 +101,19 @@ impl ServerConfig {
     }
 }
 
-/// What the server hosts: a multi-tenant registry of plain engines, or one
-/// sharded deployment. (A registry *of* sharded deployments is deliberately
-/// out of scope: shards and tenants are siblings in the WORM namespace
-/// tree, and mixing the two axes in one process buys nothing the two
-/// configurations don't.)
-enum Deployment {
-    Tenants(TenantRegistry),
-    Sharded(Arc<ShardedDb>),
-}
-
-impl Deployment {
-    /// Every hosted database with its metrics/daemon label: tenant names
-    /// in tenant mode, `shard-<i>` in sharded mode.
-    fn dbs(&self) -> Vec<(String, Arc<CompliantDb>)> {
-        match self {
-            Deployment::Tenants(reg) => {
-                reg.names().into_iter().filter_map(|n| reg.tenant(&n).map(|db| (n, db))).collect()
-            }
-            Deployment::Sharded(sdb) => sdb
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(i, db)| (format!("shard-{i}"), db.clone()))
-                .collect(),
-        }
-    }
-}
-
 /// Shared server state.
 struct Inner {
-    deployment: Deployment,
+    tenants: TenantRegistry,
     sessions: SessionTable,
     /// Transactions begun and not yet resolved, across all sessions.
     inflight: AtomicU64,
     max_inflight: u64,
     /// `Begin` requests bounced by admission control.
     rejections: AtomicU64,
-    /// Last-published streaming-audit counters, per tenant (written by the
-    /// daemon thread, read by scrape collectors and [`Server::audit_stats`]).
-    audit_stats: Mutex<HashMap<String, StreamStats>>,
+    /// Last-published streaming-audit counters, per (tenant, shard)
+    /// (written by the daemon thread, read by scrape collectors and
+    /// [`Server::audit_stats`]).
+    audit_stats: Mutex<HashMap<(String, usize), StreamStats>>,
     /// Sealing audits triggered by the daemon's auto-seal policy.
     auto_seals: AtomicU64,
     /// Auto-seal thresholds (see [`ServerConfig`]).
@@ -190,22 +168,10 @@ pub struct Server {
 impl Server {
     /// Opens the tenant registry under `config.dir` and starts serving.
     pub fn start(config: ServerConfig, clock: ClockRef) -> Result<Server> {
-        let deployment = if config.shards > 1 {
-            Deployment::Sharded(Arc::new(ShardedDb::open(
-                &config.dir,
-                clock,
-                config.compliance.clone(),
-                config.shards,
-            )?))
-        } else {
-            Deployment::Tenants(TenantRegistry::open(
-                &config.dir,
-                clock,
-                config.compliance.clone(),
-            )?)
-        };
+        let tenants =
+            TenantRegistry::open(&config.dir, clock, config.compliance.clone(), config.shards)?;
         let inner = Arc::new(Inner {
-            deployment,
+            tenants,
             sessions: SessionTable::new(),
             inflight: AtomicU64::new(0),
             max_inflight: config.max_inflight_txns.max(1),
@@ -270,10 +236,11 @@ impl Server {
                     std::thread::Builder::new()
                         .name("ccdb-audit-stream".into())
                         .spawn(move || {
-                            // One StreamAuditor per tenant, created lazily and
-                            // re-attached after an error (e.g. a WORM I/O
-                            // failure mid-poll leaves the fold poisoned).
-                            let mut auditors: HashMap<String, StreamAuditor> = HashMap::new();
+                            // One StreamAuditor per tenant shard, created
+                            // lazily and re-attached after an error (e.g. a
+                            // WORM I/O failure mid-poll leaves the fold
+                            // poisoned).
+                            let mut auditors = HashMap::new();
                             let mut last_seal: HashMap<String, std::time::Instant> = HashMap::new();
                             let mut round: u64 = 0;
                             while !daemon_inner.stop.load(Ordering::Relaxed) {
@@ -319,24 +286,9 @@ impl Server {
         &self.registry
     }
 
-    /// The tenant registry. Panics in sharded mode (`shards > 1`), which
-    /// hosts a single [`ShardedDb`] instead — see [`Server::sharded`].
+    /// The tenant registry.
     pub fn tenants(&self) -> &TenantRegistry {
-        match &self.inner.deployment {
-            Deployment::Tenants(reg) => reg,
-            Deployment::Sharded(_) => {
-                panic!("sharded deployment has no tenant registry (see Server::sharded)")
-            }
-        }
-    }
-
-    /// The sharded deployment, when the server was started with
-    /// `shards > 1`.
-    pub fn sharded(&self) -> Option<&Arc<ShardedDb>> {
-        match &self.inner.deployment {
-            Deployment::Sharded(sdb) => Some(sdb),
-            Deployment::Tenants(_) => None,
-        }
+        &self.inner.tenants
     }
 
     /// Sealing audits triggered by the daemon's auto-seal policy.
@@ -364,10 +316,20 @@ impl Server {
         self.inner.sessions.reaped.load(Ordering::Relaxed)
     }
 
-    /// The streaming-audit daemon's last-published counters, per tenant.
-    /// Empty when the daemon is disabled or has not completed a round yet.
+    /// The streaming-audit daemon's last-published counters, keyed by
+    /// tenant name when tenants have one shard and by
+    /// `<tenant>/shard-<i>` otherwise. Empty when the daemon is disabled or
+    /// has not completed a round yet.
     pub fn audit_stats(&self) -> HashMap<String, StreamStats> {
-        self.inner.audit_stats.lock().clone()
+        let sharded = self.inner.tenants.shards() > 1;
+        let stats = self.inner.audit_stats.lock();
+        stats
+            .iter()
+            .map(|((tenant, shard), s)| {
+                let key = if sharded { format!("{tenant}/shard-{shard}") } else { tenant.clone() };
+                (key, *s)
+            })
+            .collect()
     }
 }
 
@@ -388,8 +350,8 @@ impl Drop for Server {
     }
 }
 
-/// Registers the service + per-tenant engine counters on `registry`.
-/// Everything here reads lock-free counters (or per-tenant `EngineStats`,
+/// Registers the service + per-engine counters on `registry`. Everything
+/// here reads lock-free counters (or per-engine `EngineStats`,
 /// itself built from atomics), so scrapes never contend with committers.
 fn register_metrics(registry: &Arc<Registry>, inner: &Arc<Inner>) {
     let i = inner.clone();
@@ -417,71 +379,71 @@ fn register_metrics(registry: &Arc<Registry>, inner: &Arc<Inner>) {
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_commits_total",
-        "Transactions committed, per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().commits as f64),
+        "Transactions committed, per engine.",
+        move || per_engine(&i, |db| db.engine().stats().commits as f64),
     );
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_aborts_total",
-        "Transactions aborted, per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().aborts as f64),
+        "Transactions aborted, per engine.",
+        move || per_engine(&i, |db| db.engine().stats().aborts as f64),
     );
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_group_commit_batches_total",
-        "Group-commit batches flushed (one fsync each), per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().group_commit_batches as f64),
+        "Group-commit batches flushed (one fsync each), per engine.",
+        move || per_engine(&i, |db| db.engine().stats().group_commit_batches as f64),
     );
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_fsyncs_saved_total",
-        "Fsyncs avoided by group-commit batching, per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().fsyncs_saved as f64),
+        "Fsyncs avoided by group-commit batching, per engine.",
+        move || per_engine(&i, |db| db.engine().stats().fsyncs_saved as f64),
     );
     let i = inner.clone();
     registry.collector_gauge(
         "ccdb_buffer_hit_rate",
-        "Buffer-pool hit rate, per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().buffer_hit_rate),
+        "Buffer-pool hit rate, per engine.",
+        move || per_engine(&i, |db| db.engine().stats().buffer_hit_rate),
     );
     let i = inner.clone();
-    registry.collector_gauge("ccdb_wal_bytes", "WAL length in bytes, per tenant.", move || {
-        per_tenant(&i, |db| db.engine().stats().wal_bytes as f64)
+    registry.collector_gauge("ccdb_wal_bytes", "WAL length in bytes, per engine.", move || {
+        per_engine(&i, |db| db.engine().stats().wal_bytes as f64)
     });
     let i = inner.clone();
     registry.collector_gauge(
         "ccdb_stamp_queue_len",
-        "Lazy-timestamping queue depth, per tenant.",
-        move || per_tenant(&i, |db| db.engine().stats().stamp_queue_len as f64),
+        "Lazy-timestamping queue depth, per engine.",
+        move || per_engine(&i, |db| db.engine().stats().stamp_queue_len as f64),
     );
     let i = inner.clone();
     registry.collector_gauge(
         "ccdb_audit_epoch",
-        "Completed audit epochs, per tenant.",
-        move || per_tenant(&i, |db| db.epoch() as f64),
+        "Completed audit epochs, per engine.",
+        move || per_engine(&i, |db| db.epoch() as f64),
     );
     let i = inner.clone();
     registry.collector_gauge(
         "ccdb_audit_lag_records",
-        "Compliance-log records appended but not yet ingested by the streaming auditor, per tenant.",
+        "Compliance-log records appended but not yet ingested by the streaming auditor, per engine.",
         move || per_audit(&i, |s| s.lag_records as f64),
     );
     let i = inner.clone();
     registry.collector_gauge(
         "ccdb_audit_lag_us",
-        "Wall-clock µs the streaming auditor's last poll spent draining the log tail, per tenant.",
+        "Wall-clock µs the streaming auditor's last poll spent draining the log tail, per engine.",
         move || per_audit(&i, |s| s.last_poll_us as f64),
     );
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_epochs_sealed_total",
-        "Epoch rolls observed by the streaming auditor (clean audits under the stream), per tenant.",
+        "Epoch rolls observed by the streaming auditor (clean audits under the stream), per engine.",
         move || per_audit(&i, |s| s.epochs_sealed as f64),
     );
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_tamper_alerts_total",
-        "Tamper alerts raised by the streaming auditor, per tenant.",
+        "Tamper alerts raised by the streaming auditor, per engine.",
         move || per_audit(&i, |s| s.tamper_alerts as f64),
     );
     let i = inner.clone();
@@ -493,109 +455,101 @@ fn register_metrics(registry: &Arc<Registry>, inner: &Arc<Inner>) {
     let i = inner.clone();
     registry.collector_counter(
         "ccdb_l_records_total",
-        "Compliance-log records appended this epoch, per tenant (audit lag proxy).",
+        "Compliance-log records appended this epoch, per engine (audit lag proxy).",
         move || {
-            per_tenant(&i, |db| {
+            per_engine(&i, |db| {
                 db.plugin().map(|p| p.logger().records_appended() as f64).unwrap_or(0.0)
             })
         },
     );
 }
 
-/// One daemon round: poll every tenant's (or shard's) streaming auditor,
-/// publish the counters, and apply the auto-seal policy. Databases appear
+/// One daemon round: poll every shard's streaming auditor, publish the
+/// counters, and apply the auto-seal policy per tenant. Engines appear
 /// lazily (first round after creation) and an auditor that errors is
 /// dropped so the next round re-attaches fresh — re-seeding from the sealed
 /// snapshot is always safe, only the incremental fold state is lost.
 fn audit_daemon_tick(
     inner: &Inner,
-    auditors: &mut HashMap<String, StreamAuditor>,
+    auditors: &mut HashMap<(String, usize), StreamAuditor>,
     last_seal: &mut HashMap<String, std::time::Instant>,
     deep: bool,
 ) {
-    for (name, db) in inner.deployment.dbs() {
-        if !auditors.contains_key(&name) {
-            match db.stream_auditor() {
-                Ok(aud) => {
-                    auditors.insert(name.clone(), aud);
+    for (name, tenant) in inner.tenants.list() {
+        let mut lag_trip = false;
+        for (i, db) in tenant.shards().iter().enumerate() {
+            let key = (name.clone(), i);
+            if !auditors.contains_key(&key) {
+                match db.stream_auditor() {
+                    Ok(aud) => {
+                        auditors.insert(key.clone(), aud);
+                    }
+                    Err(_) => continue, // e.g. no compliance mode configured
                 }
-                Err(_) => continue, // e.g. no compliance mode configured
             }
-        }
-        let aud = auditors.get_mut(&name).expect("inserted above");
-        let outcome = if deep { aud.poll_deep(&db) } else { aud.poll(&db) };
-        let stats = aud.stats();
-        match outcome {
-            Ok(_alert) => {
-                // Alerts are not consumed here: the counters below carry
-                // tamper_alerts / violations to the scrape endpoint, and
-                // the evidence stays queryable through a real audit.
-                inner.audit_stats.lock().insert(name.clone(), stats);
-            }
-            Err(_) => {
-                inner.audit_stats.lock().insert(name.clone(), stats);
-                auditors.remove(&name);
+            let aud = auditors.get_mut(&key).expect("inserted above");
+            // Alerts are not consumed here: the counters carry
+            // tamper_alerts / violations to the scrape endpoint, and the
+            // evidence stays queryable through a real audit.
+            let outcome = if deep { aud.poll_deep(db) } else { aud.poll(db) };
+            let stats = aud.stats();
+            inner.audit_stats.lock().insert(key.clone(), stats);
+            if outcome.is_err() {
+                auditors.remove(&key);
                 continue;
             }
+            lag_trip |= inner.auto_seal_lag.is_some_and(|bound| stats.lag_records >= bound);
         }
 
-        // Auto-seal policy: a full sealing audit when the stream's record
-        // lag trips the bound, or when too much wall-clock has passed since
-        // the last seal — whichever fires first. A failed attempt (e.g.
-        // quiesce refused because transactions are open) just retries next
-        // round; the epoch roll is observed by the stream auditor like any
-        // operator-initiated audit.
-        let since = last_seal.entry(name.clone()).or_insert_with(std::time::Instant::now);
-        let lag_trip = inner.auto_seal_lag.is_some_and(|bound| stats.lag_records >= bound);
+        // Auto-seal policy: a full sealing audit of the tenant when a
+        // shard's record lag trips the bound, or when too much wall-clock
+        // has passed since the last seal — whichever fires first. The
+        // tenant audit runs the cross-shard join and seals only when it is
+        // clean; a failed or dirty attempt (e.g. quiesce refused because
+        // transactions are open) just retries next round. The epoch roll
+        // is observed by the stream auditors like any operator audit.
+        let since = last_seal.entry(name).or_insert_with(std::time::Instant::now);
         let time_trip = inner
             .auto_seal_ms
             .is_some_and(|bound| since.elapsed() >= StdDuration::from_millis(bound));
-        if (lag_trip || time_trip) && db.audit().is_ok() {
+        if (lag_trip || time_trip) && tenant.audit().is_ok_and(|a| a.is_clean()) {
             inner.auto_seals.fetch_add(1, Ordering::Relaxed);
             *since = std::time::Instant::now();
         }
     }
 }
 
-fn per_tenant(inner: &Inner, f: impl Fn(&CompliantDb) -> f64) -> Vec<Sample> {
-    let label = match &inner.deployment {
-        Deployment::Tenants(_) => "tenant",
-        Deployment::Sharded(_) => "shard",
-    };
-    inner
-        .deployment
-        .dbs()
-        .into_iter()
-        .map(|(name, db)| Sample::labelled(label, &name, f(&db)))
-        .collect()
+/// A per-engine sample, labelled with its tenant and shard.
+fn engine_sample(tenant: &str, shard: usize, value: f64) -> Sample {
+    Sample {
+        labels: vec![("tenant".into(), tenant.into()), ("shard".into(), format!("shard-{shard}"))],
+        value,
+    }
+}
+
+fn per_engine(inner: &Inner, f: impl Fn(&CompliantDb) -> f64) -> Vec<Sample> {
+    let mut out = Vec::new();
+    for (name, tenant) in inner.tenants.list() {
+        for (i, db) in tenant.shards().iter().enumerate() {
+            out.push(engine_sample(&name, i, f(db)));
+        }
+    }
+    out
 }
 
 fn per_audit(inner: &Inner, f: impl Fn(&StreamStats) -> f64) -> Vec<Sample> {
-    let label = match &inner.deployment {
-        Deployment::Tenants(_) => "tenant",
-        Deployment::Sharded(_) => "shard",
-    };
-    inner
-        .audit_stats
-        .lock()
-        .iter()
-        .map(|(name, stats)| Sample::labelled(label, name, f(stats)))
-        .collect()
+    let stats = inner.audit_stats.lock();
+    stats.iter().map(|((name, i), s)| engine_sample(name, *i, f(s))).collect()
 }
 
-/// What a session's requests execute against. In sharded mode the session
-/// owns its open distributed transactions: the wire handle is the global
-/// transaction id, resolved here to the [`DistTxn`] the coordinator needs.
-enum SessionDb {
-    Plain(Arc<CompliantDb>),
-    Sharded { db: Arc<ShardedDb>, open: HashMap<TxnId, DistTxn> },
-}
-
-/// Per-connection state once `Hello` has bound a tenant (or, in sharded
-/// mode, the deployment).
+/// Per-connection state once `Hello` has bound a tenant. The session's
+/// open distributed transactions, keyed by their wire handle (the global
+/// transaction id), are the only record of what it owns: a handle missing
+/// from this map was never begun here or is already resolved.
 struct Session {
     id: u64,
-    db: SessionDb,
+    db: Arc<ShardedDb>,
+    open: HashMap<TxnId, DistTxn>,
 }
 
 /// The connection loop: `Hello` handshake, then request/response until
@@ -628,21 +582,11 @@ fn serve_conn(inner: Arc<Inner>, mut stream: TcpStream) {
         }
     }
     // The single cleanup path.
-    if let Some(mut s) = session {
-        if let Some((_tenant, txns)) = inner.sessions.deregister(s.id) {
-            for txn in txns {
-                match &mut s.db {
-                    SessionDb::Plain(db) => {
-                        let _ = db.abort(txn);
-                    }
-                    SessionDb::Sharded { db, open } => {
-                        if let Some(dtx) = open.remove(&txn) {
-                            let _ = db.abort(dtx);
-                        }
-                    }
-                }
-                inner.release();
-            }
+    if let Some(s) = session {
+        inner.sessions.deregister(s.id);
+        for (_, dtx) in s.open {
+            let _ = s.db.abort(dtx);
+            inner.release();
         }
     }
 }
@@ -651,35 +595,31 @@ fn err_of(e: Error) -> Response {
     Response::Err { code: ErrorCode::from_error(&e), msg: e.to_string() }
 }
 
-/// A sharded-session request named a transaction handle with no open
-/// distributed transaction behind it (e.g. already resolved).
-fn stale_handle(txn: TxnId) -> Response {
-    Response::Err {
-        code: ErrorCode::InvalidTransaction,
-        msg: format!("{txn:?} has no open distributed transaction"),
+fn ok_or_err(result: Result<()>) -> Response {
+    match result {
+        Ok(()) => Response::Ok,
+        Err(e) => err_of(e),
     }
 }
 
-/// Maps a `read_proof` result onto the wire (shared by the plain path and
-/// the shard-routed path).
-fn proof_resp(result: Result<(ccdb_core::SignedHead, Option<ccdb_core::ProvenRead>)>) -> Response {
+/// A transaction handle this session does not own: never begun here,
+/// begun by another session, or already resolved.
+fn not_owned(txn: TxnId) -> Response {
+    Response::Err {
+        code: ErrorCode::InvalidTransaction,
+        msg: format!("{txn:?} is not an open transaction of this session"),
+    }
+}
+
+/// Maps a deployment audit onto the wire.
+fn audit_resp(result: Result<DeploymentAudit>) -> Response {
     match result {
-        Ok((head, proven)) => {
-            let (value, proof) = match proven {
-                Some(p) => (p.value, Some(p.proof_bytes)),
-                None => (None, None),
-            };
-            Response::ReadProof {
-                epoch: head.head.epoch,
-                value,
-                head: head.head_bytes,
-                sig: head.sig_bytes,
-                pubkey: head.pub_bytes,
-                proof,
-            }
-        }
-        // NotFound covers "no sealed epoch yet" — the client must run
-        // (or wait for) one clean audit before proof-carrying reads.
+        Ok(dep) => Response::AuditDone {
+            clean: dep.is_clean(),
+            violations: dep.all_violations().len() as u32,
+            tuples_final: dep.shard_reports.iter().map(|r| r.stats.tuples_final).sum(),
+            records_scanned: dep.shard_reports.iter().map(|r| r.stats.records_scanned).sum(),
+        },
         Err(e) => err_of(e),
     }
 }
@@ -706,23 +646,16 @@ fn dispatch(
                 msg: "session already bound".to_string(),
             };
         }
-        let db = match &inner.deployment {
-            Deployment::Tenants(reg) => match reg.create_or_open(tenant) {
-                Ok(db) => SessionDb::Plain(db),
-                Err(e) => return err_of(e),
-            },
-            // One deployment, many sessions: the tenant name selects
-            // nothing in sharded mode.
-            Deployment::Sharded(sdb) => {
-                SessionDb::Sharded { db: sdb.clone(), open: HashMap::new() }
-            }
+        let db = match inner.tenants.create_or_open(tenant) {
+            Ok(db) => db,
+            Err(e) => return err_of(e),
         };
         let reaper_handle = match stream.try_clone() {
             Ok(s) => s,
             Err(e) => return err_of(Error::io("server: clone session socket", e)),
         };
-        let id = inner.sessions.register(tenant, reaper_handle);
-        *session = Some(Session { id, db });
+        let id = inner.sessions.register(reaper_handle);
+        *session = Some(Session { id, db, open: HashMap::new() });
         return Response::Ok;
     }
     let Some(s) = session.as_mut() else {
@@ -731,21 +664,10 @@ fn dispatch(
             msg: "Hello required before any other request".to_string(),
         };
     };
-    let sid = s.id;
 
-    // Transaction-handle requests must use a handle this session owns:
-    // sessions cannot observe or resolve each other's transactions.
-    let owns = |txn: TxnId| -> Option<Response> {
-        if inner.sessions.owns_txn(sid, txn) {
-            None
-        } else {
-            Some(Response::Err {
-                code: ErrorCode::InvalidTransaction,
-                msg: format!("{txn:?} is not owned by this session"),
-            })
-        }
-    };
-
+    // Transaction-handle requests resolve the handle through the session's
+    // own map: sessions cannot observe or resolve each other's
+    // transactions, and a handle they do not own touches no admission slot.
     match req {
         Request::Hello { .. } => unreachable!("handled above"),
         Request::Ping => Response::Ok,
@@ -753,308 +675,123 @@ fn dispatch(
             if let Err(rejection) = inner.admit() {
                 return *rejection;
             }
-            match &mut s.db {
-                SessionDb::Plain(db) => match db.begin() {
-                    Ok(txn) => {
-                        inner.sessions.track_txn(sid, txn);
-                        Response::TxnBegun { txn }
-                    }
-                    Err(e) => {
-                        inner.release();
-                        err_of(e)
-                    }
-                },
-                SessionDb::Sharded { db, open } => {
-                    // The wire handle for a distributed transaction is its
-                    // global id; shard-local transactions begin lazily as
-                    // the session's keys route to shards.
-                    let dtx = db.begin();
-                    let txn = TxnId(dtx.gtxn());
-                    open.insert(txn, dtx);
-                    inner.sessions.track_txn(sid, txn);
-                    Response::TxnBegun { txn }
-                }
-            }
+            // The wire handle is the global transaction id; shard-local
+            // transactions begin lazily as the session's keys route to
+            // shards.
+            let dtx = s.db.begin();
+            let txn = TxnId(dtx.gtxn());
+            s.open.insert(txn, dtx);
+            Response::TxnBegun { txn }
         }
-        Request::Write { txn, rel, key, value } => owns(txn).unwrap_or_else(|| match &mut s.db {
-            SessionDb::Plain(db) => match db.write(txn, rel, &key, &value) {
-                Ok(()) => Response::Ok,
-                Err(e) => err_of(e),
-            },
-            SessionDb::Sharded { db, open } => match open.get_mut(&txn) {
-                None => stale_handle(txn),
-                Some(dtx) => match db.write(dtx, rel, &key, &value) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => err_of(e),
-                },
-            },
-        }),
-        Request::Delete { txn, rel, key } => owns(txn).unwrap_or_else(|| match &mut s.db {
-            SessionDb::Plain(db) => match db.delete(txn, rel, &key) {
-                Ok(()) => Response::Ok,
-                Err(e) => err_of(e),
-            },
-            SessionDb::Sharded { db, open } => match open.get_mut(&txn) {
-                None => stale_handle(txn),
-                Some(dtx) => match db.delete(dtx, rel, &key) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => err_of(e),
-                },
-            },
-        }),
-        Request::Read { txn, rel, key } => owns(txn).unwrap_or_else(|| match &mut s.db {
-            SessionDb::Plain(db) => match db.read(txn, rel, &key) {
+        Request::Write { txn, rel, key, value } => match s.open.get_mut(&txn) {
+            Some(dtx) => ok_or_err(s.db.write(dtx, rel, &key, &value)),
+            None => not_owned(txn),
+        },
+        Request::Delete { txn, rel, key } => match s.open.get_mut(&txn) {
+            Some(dtx) => ok_or_err(s.db.delete(dtx, rel, &key)),
+            None => not_owned(txn),
+        },
+        Request::Read { txn, rel, key } => match s.open.get_mut(&txn) {
+            Some(dtx) => match s.db.read(dtx, rel, &key) {
                 Ok(value) => Response::Value { value },
                 Err(e) => err_of(e),
             },
-            SessionDb::Sharded { db, open } => match open.get_mut(&txn) {
-                None => stale_handle(txn),
-                Some(dtx) => match db.read(dtx, rel, &key) {
-                    Ok(value) => Response::Value { value },
+            None => not_owned(txn),
+        },
+        // Commit and abort consume the handle even on failure (the engine
+        // removes the transaction state on entry), so the admission slot
+        // is released unconditionally.
+        Request::Commit { txn } => match s.open.remove(&txn) {
+            Some(dtx) => {
+                let result = s.db.commit(dtx);
+                inner.release();
+                match result {
+                    Ok(commit_time) => Response::Committed { commit_time },
                     Err(e) => err_of(e),
-                },
-            },
-        }),
-        Request::Commit { txn } => owns(txn).unwrap_or_else(|| {
-            // Commit consumes the handle even on failure (the engine
-            // removes the transaction state on entry), so the admission
-            // slot and ownership entry are released unconditionally.
-            let result = match &mut s.db {
-                SessionDb::Plain(db) => db.commit(txn),
-                SessionDb::Sharded { db, open } => match open.remove(&txn) {
-                    None => {
-                        Err(Error::Invalid(format!("{txn:?} has no open distributed transaction")))
-                    }
-                    Some(dtx) => db.commit(dtx),
-                },
-            };
-            inner.sessions.untrack_txn(sid, txn);
-            inner.release();
-            match result {
-                Ok(commit_time) => Response::Committed { commit_time },
-                Err(e) => err_of(e),
+                }
             }
-        }),
-        Request::Abort { txn } => owns(txn).unwrap_or_else(|| {
-            let result = match &mut s.db {
-                SessionDb::Plain(db) => db.abort(txn),
-                SessionDb::Sharded { db, open } => match open.remove(&txn) {
-                    None => {
-                        Err(Error::Invalid(format!("{txn:?} has no open distributed transaction")))
-                    }
-                    Some(dtx) => db.abort(dtx),
-                },
-            };
-            inner.sessions.untrack_txn(sid, txn);
-            inner.release();
-            match result {
-                Ok(()) => Response::Ok,
-                Err(e) => err_of(e),
+            None => not_owned(txn),
+        },
+        Request::Abort { txn } => match s.open.remove(&txn) {
+            Some(dtx) => {
+                let result = s.db.abort(dtx);
+                inner.release();
+                ok_or_err(result)
             }
-        }),
+            None => not_owned(txn),
+        },
         Request::CreateRelation { name, time_split_threshold } => {
             let policy = if time_split_threshold.is_nan() {
                 SplitPolicy::KeyOnly
             } else {
                 SplitPolicy::TimeSplit { threshold: time_split_threshold }
             };
-            match &s.db {
-                SessionDb::Plain(db) => match db.engine().rel_id(&name) {
-                    Some(rel) => Response::Rel { rel },
-                    None => match db.create_relation(&name, policy) {
-                        Ok(rel) => Response::Rel { rel },
-                        Err(e) => err_of(e),
-                    },
-                },
-                SessionDb::Sharded { db, .. } => match db.rel_id(&name) {
-                    Some(rel) => Response::Rel { rel },
-                    None => match db.create_relation(&name, policy) {
-                        Ok(rel) => Response::Rel { rel },
-                        Err(e) => err_of(e),
-                    },
-                },
-            }
-        }
-        Request::RelId { name } => {
-            let rel = match &s.db {
-                SessionDb::Plain(db) => db.engine().rel_id(&name),
-                SessionDb::Sharded { db, .. } => db.rel_id(&name),
-            };
-            match rel {
+            match s.db.rel_id(&name) {
                 Some(rel) => Response::Rel { rel },
-                None => {
-                    Response::Err { code: ErrorCode::NotFound, msg: format!("relation {name:?}") }
-                }
-            }
-        }
-        Request::SetRetention { txn, name, period_us } => {
-            owns(txn).unwrap_or_else(|| match &s.db {
-                SessionDb::Plain(db) => match db.set_retention(txn, &name, Duration(period_us)) {
-                    Ok(()) => Response::Ok,
+                None => match s.db.create_relation(&name, policy) {
+                    Ok(rel) => Response::Rel { rel },
                     Err(e) => err_of(e),
                 },
-                // Retention is a catalog property of every shard; the
-                // broadcast uses shard-local transactions, the session's
-                // handle only gates the request.
-                SessionDb::Sharded { db, .. } => {
-                    match db.set_retention(&name, Duration(period_us)) {
-                        Ok(()) => Response::Ok,
-                        Err(e) => err_of(e),
-                    }
-                }
-            })
+            }
         }
-        Request::Audit { serial } => match &s.db {
-            SessionDb::Plain(db) => {
-                if serial {
-                    // Dry-run with the serial single-pass oracle: verdict
-                    // only, no epoch advance (differential checks against
-                    // the real audit below).
-                    let mut cfg = db.audit_config();
-                    cfg.serial = true;
-                    match db.audit_outcome_with(cfg) {
-                        Ok(out) => Response::AuditDone {
-                            clean: out.report.is_clean(),
-                            violations: out.report.violations.len() as u32,
-                            tuples_final: out.report.stats.tuples_final,
-                            records_scanned: out.report.stats.records_scanned,
-                        },
-                        Err(e) => err_of(e),
-                    }
-                } else {
-                    match db.audit() {
-                        Ok(report) => Response::AuditDone {
-                            clean: report.is_clean(),
-                            violations: report.violations.len() as u32,
-                            tuples_final: report.stats.tuples_final,
-                            records_scanned: report.stats.records_scanned,
-                        },
-                        Err(e) => err_of(e),
-                    }
-                }
-            }
-            SessionDb::Sharded { db, .. } => {
-                if serial {
-                    let mut cfg = db.shards()[0].audit_config();
-                    cfg.serial = true;
-                    match db.audit_dry(cfg) {
-                        Ok((outcomes, cross)) => Response::AuditDone {
-                            clean: cross.is_empty() && outcomes.iter().all(|o| o.report.is_clean()),
-                            violations: (outcomes
-                                .iter()
-                                .map(|o| o.report.violations.len())
-                                .sum::<usize>()
-                                + cross.len()) as u32,
-                            tuples_final: outcomes
-                                .iter()
-                                .map(|o| o.report.stats.tuples_final)
-                                .sum(),
-                            records_scanned: outcomes
-                                .iter()
-                                .map(|o| o.report.stats.records_scanned)
-                                .sum(),
-                        },
-                        Err(e) => err_of(e),
-                    }
-                } else {
-                    match db.audit() {
-                        Ok(dep) => Response::AuditDone {
-                            clean: dep.is_clean(),
-                            violations: (dep
-                                .shard_reports
-                                .iter()
-                                .map(|r| r.violations.len())
-                                .sum::<usize>()
-                                + dep.cross_shard.len())
-                                as u32,
-                            tuples_final: dep
-                                .shard_reports
-                                .iter()
-                                .map(|r| r.stats.tuples_final)
-                                .sum(),
-                            records_scanned: dep
-                                .shard_reports
-                                .iter()
-                                .map(|r| r.stats.records_scanned)
-                                .sum(),
-                        },
-                        Err(e) => err_of(e),
-                    }
-                }
-            }
+        Request::RelId { name } => match s.db.rel_id(&name) {
+            Some(rel) => Response::Rel { rel },
+            None => Response::Err { code: ErrorCode::NotFound, msg: format!("relation {name:?}") },
         },
-        Request::Migrate { rel } => match &s.db {
-            SessionDb::Plain(db) => match db.migrate_to_worm(rel) {
-                Ok(report) => Response::Migrated { tuples: report.tuples_migrated as u64 },
-                Err(e) => err_of(e),
-            },
-            SessionDb::Sharded { db, .. } => {
-                let mut tuples = 0u64;
-                let mut failed = None;
-                for shard in db.shards() {
-                    match shard.migrate_to_worm(rel) {
-                        Ok(report) => tuples += report.tuples_migrated as u64,
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                match failed {
-                    None => Response::Migrated { tuples },
-                    Some(e) => err_of(e),
-                }
-            }
+        Request::SetRetention { txn, name, period_us } => match s.open.get_mut(&txn) {
+            Some(dtx) => ok_or_err(s.db.set_retention_in(dtx, &name, Duration(period_us))),
+            None => not_owned(txn),
         },
-        Request::ReadVerified { rel, key } => match &s.db {
-            SessionDb::Plain(db) => proof_resp(db.read_proof(rel, &key)),
-            // Proof-carrying reads route to the shard owning the key; the
-            // proof verifies against that shard's signed epoch head.
-            SessionDb::Sharded { db, .. } => {
-                let shard = &db.shards()[db.map().shard_of(&key)];
-                proof_resp(shard.read_proof(rel, &key))
-            }
+        // The serial flavour is a dry run with the single-pass oracle:
+        // verdict only, no epoch advance (differential checks against the
+        // real, sealing audit).
+        Request::Audit { serial: true } => {
+            let mut cfg = s.db.audit_config();
+            cfg.serial = true;
+            audit_resp(s.db.audit_dry(cfg).map(|(outcomes, cross_shard)| DeploymentAudit {
+                shard_reports: outcomes.into_iter().map(|o| o.report).collect(),
+                cross_shard,
+            }))
+        }
+        Request::Audit { serial: false } => audit_resp(s.db.audit()),
+        Request::Migrate { rel } => match s.db.migrate_to_worm(rel) {
+            Ok(report) => Response::Migrated { tuples: report.tuples_migrated as u64 },
+            Err(e) => err_of(e),
         },
-        Request::Stats => match &s.db {
-            SessionDb::Plain(db) => {
-                let stats = db.engine().stats();
-                Response::Stats {
-                    commits: stats.commits,
-                    aborts: stats.aborts,
-                    active_txns: stats.active_txns,
-                    group_commit_batches: stats.group_commit_batches,
-                    wal_bytes: stats.wal_bytes,
-                    epoch: db.epoch(),
+        // Proof-carrying reads route to the shard owning the key; the proof
+        // verifies against that shard's signed epoch head. NotFound covers
+        // "no sealed epoch yet" — the client must run (or wait for) one
+        // clean audit before proof-carrying reads.
+        Request::ReadVerified { rel, key } => match s.db.shard_for(&key).read_proof(rel, &key) {
+            Ok((head, proven)) => {
+                let (value, proof) = match proven {
+                    Some(p) => (p.value, Some(p.proof_bytes)),
+                    None => (None, None),
+                };
+                Response::ReadProof {
+                    epoch: head.head.epoch,
+                    value,
+                    head: head.head_bytes,
+                    sig: head.sig_bytes,
+                    pubkey: head.pub_bytes,
+                    proof,
                 }
             }
-            SessionDb::Sharded { db, .. } => {
-                // Deployment view: sums across shards, and the *lowest*
-                // shard epoch (the deployment has sealed through epoch E
-                // only once every shard has).
-                let mut commits = 0;
-                let mut aborts = 0;
-                let mut active_txns = 0;
-                let mut group_commit_batches = 0;
-                let mut wal_bytes = 0;
-                let mut epoch = u64::MAX;
-                for shard in db.shards() {
-                    let stats = shard.engine().stats();
-                    commits += stats.commits;
-                    aborts += stats.aborts;
-                    active_txns += stats.active_txns;
-                    group_commit_batches += stats.group_commit_batches;
-                    wal_bytes += stats.wal_bytes;
-                    epoch = epoch.min(shard.epoch());
-                }
-                Response::Stats {
-                    commits,
-                    aborts,
-                    active_txns,
-                    group_commit_batches,
-                    wal_bytes,
-                    epoch,
-                }
-            }
+            Err(e) => err_of(e),
         },
+        // Tenant view: sums across shards, and the *lowest* shard epoch
+        // (the tenant has sealed through epoch E only once every shard has).
+        Request::Stats => {
+            let shards = s.db.shards();
+            let stats: Vec<_> = shards.iter().map(|db| db.engine().stats()).collect();
+            Response::Stats {
+                commits: stats.iter().map(|st| st.commits).sum(),
+                aborts: stats.iter().map(|st| st.aborts).sum(),
+                active_txns: stats.iter().map(|st| st.active_txns).sum(),
+                group_commit_batches: stats.iter().map(|st| st.group_commit_batches).sum(),
+                wal_bytes: stats.iter().map(|st| st.wal_bytes).sum(),
+                epoch: shards.iter().map(|db| db.epoch()).min().unwrap_or(0),
+            }
+        }
     }
 }

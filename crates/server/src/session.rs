@@ -1,10 +1,10 @@
-//! The session table: per-connection state, transaction ownership, and
-//! idle-timeout reaping.
+//! The session table: per-connection liveness and idle-timeout reaping.
 //!
 //! A session is one TCP connection after its `Hello`. It owns every
-//! transaction it begins: only it may operate on those handles, and when
-//! it ends — clean disconnect, error, or reap — its open transactions are
-//! aborted so no handle leaks engine resources or admission slots.
+//! transaction it begins — the connection thread keeps those in the
+//! session's own map, the only record of ownership — and when it ends
+//! (clean disconnect, error, or reap) its open transactions are aborted so
+//! no handle leaks engine resources or admission slots.
 //!
 //! # Reaping
 //!
@@ -20,13 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use ccdb_common::sync::Mutex;
-use ccdb_common::TxnId;
 
 /// One connection's server-side state.
 struct SessionEntry {
-    tenant: String,
-    /// Transactions begun and not yet committed/aborted by this session.
-    open_txns: Vec<TxnId>,
     /// Last request time, for idle reaping.
     last_active: Instant,
     /// Socket handle the reaper can shut down (never read/written here).
@@ -50,25 +46,16 @@ impl SessionTable {
         }
     }
 
-    /// Registers a session bound to `tenant`; returns its id.
-    pub fn register(&self, tenant: &str, stream: TcpStream) -> u64 {
+    /// Registers a session; returns its id.
+    pub fn register(&self, stream: TcpStream) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sessions.lock().insert(
-            id,
-            SessionEntry {
-                tenant: tenant.to_string(),
-                open_txns: Vec::new(),
-                last_active: Instant::now(),
-                stream,
-            },
-        );
+        self.sessions.lock().insert(id, SessionEntry { last_active: Instant::now(), stream });
         id
     }
 
-    /// Removes the session, returning `(tenant, open transactions)` for the
-    /// caller to abort. Idempotent: a second call returns `None`.
-    pub fn deregister(&self, id: u64) -> Option<(String, Vec<TxnId>)> {
-        self.sessions.lock().remove(&id).map(|e| (e.tenant, e.open_txns))
+    /// Removes the session (no-op when already gone).
+    pub fn deregister(&self, id: u64) {
+        self.sessions.lock().remove(&id);
     }
 
     /// Marks activity (called on every request).
@@ -76,35 +63,6 @@ impl SessionTable {
         if let Some(e) = self.sessions.lock().get_mut(&id) {
             e.last_active = Instant::now();
         }
-    }
-
-    /// Records that `txn` is owned by session `id`.
-    pub fn track_txn(&self, id: u64, txn: TxnId) {
-        if let Some(e) = self.sessions.lock().get_mut(&id) {
-            e.open_txns.push(txn);
-        }
-    }
-
-    /// Removes `txn` from session `id`'s open set; `false` if the session
-    /// does not own it (the dispatch layer turns that into a typed error —
-    /// one session cannot commit another's transaction).
-    pub fn untrack_txn(&self, id: u64, txn: TxnId) -> bool {
-        let mut sessions = self.sessions.lock();
-        match sessions.get_mut(&id) {
-            Some(e) => match e.open_txns.iter().position(|t| *t == txn) {
-                Some(i) => {
-                    e.open_txns.swap_remove(i);
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
-    }
-
-    /// Whether session `id` owns `txn`.
-    pub fn owns_txn(&self, id: u64, txn: TxnId) -> bool {
-        self.sessions.lock().get(&id).map(|e| e.open_txns.contains(&txn)).unwrap_or(false)
     }
 
     /// Live session count.

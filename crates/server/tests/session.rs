@@ -248,6 +248,11 @@ fn streaming_daemon_and_verified_reads_over_rpc() {
         c.write(t, rel, format!("k{i:03}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         c.commit(t).unwrap();
     }
+    // The daemon attaches to a tenant on its first round after the tenant
+    // appears; an auditor attached after the seal never sees the roll.
+    wait_until("daemon attaches to the tenant", || {
+        server.audit_stats().get("acme").is_some_and(|s| s.polls > 0)
+    });
     let (clean, _) = c.audit(false).unwrap();
     assert!(clean, "seal audit dirty");
 

@@ -43,8 +43,12 @@ fn adversary_campaigns_end_detected_or_harmless() {
         assert!(shredded > 0, "no campaign shredded anything");
         assert!(spared > 0, "no hold ever spared a tuple from shredding");
         assert!(outcomes.iter().any(|o| o.crashes > 0), "no campaign crashed");
+        assert!(
+            outcomes.iter().any(|o| o.deployment.starts_with("tenants") && o.crashes > 0),
+            "no multi-tenant campaign crashed"
+        );
         assert!(outcomes.iter().any(|o| o.pages_migrated > 0), "no campaign migrated to WORM");
-        for shape in ["single", "tenants", "sharded"] {
+        for shape in ["single", "tenants", "sharded", "tenants-x-shards"] {
             assert!(
                 outcomes.iter().any(|o| o.deployment == shape),
                 "no campaign ran the {shape} deployment shape"

@@ -273,6 +273,43 @@ fn diverged_outcome_between_shards_is_detected() {
     );
 }
 
+/// Regression: a divergence between two *locally consistent* shards — one
+/// decides commit and commits, the other decides abort and aborts — is
+/// visible only to the cross-shard join. The sealing audit must then seal
+/// no shard, so a second audit still reports it instead of reading clean.
+#[test]
+fn locally_consistent_divergence_survives_a_second_audit() {
+    let d = TempDir::new("diverge-consistent");
+    let db = open(&d, 2);
+    let rel = db.create_relation("ledger", SplitPolicy::KeyOnly).unwrap();
+    workload(&db, rel, 5);
+    let (gtxn, writers) = prepared_txn(&db, rel, "attack-split");
+    let (a, b) = (writers[0], writers[1]);
+    db.shards()[a.0].log_2pc(&LogRecord::TwoPcDecision { gtxn, commit: true }).unwrap();
+    db.shards()[a.0].commit(a.1).unwrap();
+    db.shards()[b.0].log_2pc(&LogRecord::TwoPcDecision { gtxn, commit: false }).unwrap();
+    db.shards()[b.0].abort(b.1).unwrap();
+    let epochs: Vec<u64> = db.shards().iter().map(|s| s.epoch()).collect();
+    for attempt in 0..2 {
+        let dep = db.audit().unwrap();
+        assert!(
+            dep.shard_reports.iter().all(|r| r.is_clean()),
+            "both shards are locally consistent: {:?}",
+            dep.shard_reports
+        );
+        assert!(
+            has(&dep.cross_shard, |v| matches!(
+                v,
+                Violation::TwoPcDivergentDecision { gtxn: g } if *g == gtxn
+            )),
+            "audit {attempt} lost the divergence: {:?}",
+            dep.cross_shard
+        );
+    }
+    let after: Vec<u64> = db.shards().iter().map(|s| s.epoch()).collect();
+    assert_eq!(after, epochs, "a dirty deployment audit sealed a shard");
+}
+
 #[test]
 fn orphan_decision_record_is_detected() {
     let d = TempDir::new("orphan");

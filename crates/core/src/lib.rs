@@ -30,6 +30,10 @@ pub mod shred;
 pub mod snapshot;
 pub mod tenant;
 
+/// The SHA-256 backend every hash in this crate runs on (`"sha-ni"` or
+/// `"scalar"`), for operators of the layers above.
+pub use ccdb_crypto::sha256::backend as sha256_backend;
+
 pub use audit::stream::{StreamAuditor, StreamStats, TamperAlert};
 pub use audit::{
     audit_ckpt_name, AuditConfig, AuditOutcome, AuditReport, AuditStats, Auditor, TupleFinding,

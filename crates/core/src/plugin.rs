@@ -433,16 +433,6 @@ impl StructureHooks for CompliancePlugin {
         } else if let Ok(tuples) =
             old.cells().map(TupleVersion::decode_cell).collect::<Result<Vec<_>>>()
         {
-            if std::env::var("CCDB_PLUGIN_DEBUG").is_ok() {
-                let st = self.state.lock();
-                eprintln!(
-                    "SPLIT-SYNC pgno={:?} page_tuples={} pristine={:?} retired={}",
-                    old.pgno(),
-                    tuples.len(),
-                    st.pristine.get(&old.pgno()).map(|v| v.len()),
-                    st.retired.contains(&old.pgno())
-                );
-            }
             let _ = self.diff_against_pristine(old.pgno(), tuples);
         }
         // Hook signatures are infallible (the tree cannot meaningfully

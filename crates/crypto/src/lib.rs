@@ -1,9 +1,15 @@
-//! Cryptographic primitives for the compliant DBMS, implemented from scratch.
+//! Cryptographic primitives for the compliant DBMS, implemented from scratch
+//! on `std` alone.
 //!
 //! The paper's architecture needs four primitives:
 //!
 //! * a conventional secure one-way hash `h` — [`sha256`], a FIPS 180-4
-//!   SHA-256 implementation validated against the NIST test vectors;
+//!   SHA-256 implementation validated against the NIST test vectors. Its
+//!   compression function runs on the x86 SHA extensions (SHA-NI) when the
+//!   CPU has them, detected at run time, and on a textbook scalar
+//!   implementation otherwise; the scalar code is also the oracle the SHA-NI
+//!   kernel is tested against. Every other primitive here, and every hash in
+//!   the workspace, goes through this one hasher;
 //! * the **ADD-HASH** commutative incremental *set* hash of Bellare and
 //!   Micciancio (`H({a₁..aₙ}) = Σ h'(aᵢ) mod 2⁵¹²`) — [`addhash`] — which the
 //!   auditor uses for the single-pass tuple-completeness check

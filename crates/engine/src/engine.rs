@@ -907,11 +907,7 @@ impl Engine {
                 }
                 seen.push((*rel, key.as_slice()));
                 let tree = self.tree(*rel)?;
-                let n = tree.stamp(key, txn, t)?;
-                if n == 0 && std::env::var("CCDB_STAMP_DEBUG").is_ok() {
-                    eprintln!("STAMP MISS {txn:?} rel={rel:?} key={key:02x?} t={t:?}");
-                }
-                stamped += n;
+                stamped += tree.stamp(key, txn, t)?;
             }
             self.commit_times.write().remove(&txn);
         }

@@ -354,6 +354,11 @@ impl Drop for Server {
 /// here reads lock-free counters (or per-engine `EngineStats`,
 /// itself built from atomics), so scrapes never contend with committers.
 fn register_metrics(registry: &Arc<Registry>, inner: &Arc<Inner>) {
+    registry.collector_gauge(
+        "ccdb_sha256_backend",
+        "SHA-256 compression backend in use (1 on the live `impl`).",
+        || vec![Sample::labelled("impl", ccdb_core::sha256_backend(), 1.0)],
+    );
     let i = inner.clone();
     registry.collector_gauge("ccdb_active_sessions", "Live RPC sessions.", move || {
         vec![Sample::value(i.sessions.len() as f64)]

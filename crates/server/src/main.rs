@@ -84,7 +84,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    eprintln!("ccdb-server listening on {}", server.addr());
+    eprintln!(
+        "ccdb-server listening on {} (sha256: {})",
+        server.addr(),
+        ccdb_core::sha256_backend()
+    );
     if let Some(m) = server.metrics_addr() {
         eprintln!("ccdb-server metrics on http://{m}/metrics");
     }

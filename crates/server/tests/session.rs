@@ -219,6 +219,15 @@ fn tenants_are_isolated_and_audit_clean_over_rpc() {
         let value: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(value >= 20.0, "{tenant} commits not counted: {line}");
     }
+
+    // Exactly one SHA-256 backend sample, valued 1, naming the live one.
+    let backend: Vec<&str> =
+        body.lines().filter(|l| l.starts_with("ccdb_sha256_backend{")).collect();
+    assert_eq!(
+        backend,
+        [format!("ccdb_sha256_backend{{impl=\"{}\"}} 1", ccdb_core::sha256_backend())],
+        "{body}"
+    );
 }
 
 /// End-to-end over RPC: the streaming-audit daemon follows the epoch roll
